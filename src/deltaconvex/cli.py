@@ -27,7 +27,7 @@ from .families import (
     random_graph,
     two_connected_chordal,
 )
-from .graphs import GraphError, graph_to_json, load_graph, save_graph
+from .graphs import GraphError, _is_int, graph_to_json, load_graph, save_graph
 from .hull import delta_hull, delta_hull_traced
 from .independence import (
     caratheodory_number,
@@ -85,31 +85,50 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_family(family: str, params: dict, seed: int) -> FamilyInstance:
-    try:
-        if family == "path":
-            return path(params["n"])
-        if family == "cycle":
-            return cycle(params["n"])
-        if family == "complete":
-            return complete(params["n"])
-        if family == "complete_bipartite":
-            return complete_bipartite(params["m"], params["n"])
-        if family == "block_chain":
-            return block_chain(params["sizes"])
-        if family == "block_tree":
-            return block_tree(params["chains"])
-        if family == "two_connected_chordal":
-            return two_connected_chordal(params["n"], seed)
-        if family == "gadget_c":
-            return gadget_c(params["n"])
-        if family == "gadget_e":
-            return gadget_e(params["k"])
-        if family == "random":
-            return random_graph(params["n"], params["p"], seed)
-    except KeyError as exc:
-        raise FamilyError(f"family {family!r} is missing parameter {exc}") from exc
-    raise FamilyError(f"unknown family {family!r}")
+# family -> (generator, parameter names, whether the seed is passed last)
+_FAMILIES = {
+    "path": (path, ("n",), False),
+    "cycle": (cycle, ("n",), False),
+    "complete": (complete, ("n",), False),
+    "complete_bipartite": (complete_bipartite, ("m", "n"), False),
+    "block_chain": (block_chain, ("sizes",), False),
+    "block_tree": (block_tree, ("chains",), False),
+    "two_connected_chordal": (two_connected_chordal, ("n",), True),
+    "gadget_c": (gadget_c, ("n",), False),
+    "gadget_e": (gadget_e, ("k",), False),
+    "random": (random_graph, ("n", "p"), True),
+}
+
+
+def _is_int_list(x: object) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+# parameter -> (what it must be, check); any other parameter is an integer
+_PARAM_TYPES = {
+    "p": ("a number", lambda x: _is_int(x) or isinstance(x, float)),
+    "sizes": ("a list of integers", _is_int_list),
+    "chains": ("a list of integer lists", lambda x: isinstance(x, list) and all(map(_is_int_list, x))),
+}
+
+
+def _build_family(family: str, params: object, seed: int) -> FamilyInstance:
+    if family not in _FAMILIES:
+        raise FamilyError(f"unknown family {family!r}")
+    if not isinstance(params, dict):
+        raise FamilyError("--params must be a JSON object")
+    generator, names, seeded = _FAMILIES[family]
+    args = []
+    for name in names:
+        if name not in params:
+            raise FamilyError(f"family {family!r} is missing parameter {name!r}")
+        what, ok = _PARAM_TYPES.get(name, ("an integer", _is_int))
+        if not ok(params[name]):
+            raise FamilyError(f"parameter {name!r} of family {family!r} must be {what}")
+        args.append(params[name])
+    if seeded:
+        args.append(seed)
+    return generator(*args)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -195,13 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(func=cmd_invariant)
 
     p_gen = sub.add_parser("generate", help="generate a family instance")
-    p_gen.add_argument(
-        "family",
-        choices=(
-            "path", "cycle", "complete", "complete_bipartite", "block_chain",
-            "block_tree", "two_connected_chordal", "gadget_c", "gadget_e", "random",
-        ),
-    )
+    p_gen.add_argument("family", choices=tuple(_FAMILIES))
     p_gen.add_argument("--params", required=True, help="family parameters as JSON")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True)

@@ -156,7 +156,8 @@ def block_chain(sizes: list[int]) -> FamilyInstance:
     n = start + 1
     label = ",".join(map(str, sizes))
     g = Graph(n, edges, name=f"block_chain[{label}]")
-    assert is_block_graph(g)
+    if not is_block_graph(g):
+        raise FamilyError(f"{g.name} is not a block graph")
     ell = len(sizes)
     if all(s > 2 for s in sizes):
         preds = {
@@ -201,7 +202,8 @@ def block_tree(chains: list[list[int]]) -> FamilyInstance:
             prev_cut = block[-1]
     label = ",".join("[" + ",".join(map(str, c)) + "]" for c in chains)
     g = Graph(nxt, edges, name=f"block_tree[{label}]")
-    assert is_block_graph(g)
+    if not is_block_graph(g):
+        raise FamilyError(f"{g.name} is not a block graph")
     ell = sum(len(c) for c in chains)
     legs = sorted((len(c) for c in chains), reverse=True)
     k = legs[0] + legs[1]
@@ -242,7 +244,8 @@ def two_connected_chordal(n: int, seed: int) -> FamilyInstance:
             adj[u2].add(v)
             adj[v].add(u2)
     g = Graph(n, sorted(edges), name=f"chordal(n={n},seed={seed})")
-    assert is_chordal(g) and is_two_connected(g)
+    if not (is_chordal(g) and is_two_connected(g)):
+        raise FamilyError(f"{g.name} is not a 2-connected chordal graph")
     preds = {
         "c": Prediction("eq", 2, "chordal_c2"),
         "e": Prediction("in", (2, 3), "chordal_e23"),

@@ -95,6 +95,15 @@ class Graph:
         return tuple(vertex_mask(t) for t in self.triangles)
 
     @cached_property
+    def triangle_pairs(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex v, the mask of {a, b} for every triangle {v, a, b}."""
+        pairs: list[list[int]] = [[] for _ in range(self.n)]
+        for t, tm in zip(self.triangles, self.triangle_masks):
+            for v in t:
+                pairs[v].append(tm & ~(1 << v))
+        return tuple(tuple(p) for p in pairs)
+
+    @cached_property
     def triangle_vertex_mask(self) -> int:
         m = 0
         for tm in self.triangle_masks:
@@ -338,8 +347,19 @@ def graph_from_json(text: str) -> Graph:
         raise GraphError(f"invalid graph JSON: {exc}") from exc
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphError('graph JSON must contain "n" and "edges"')
-    edges = [tuple(e) for e in data["edges"]]
-    return Graph(int(data["n"]), edges, str(data.get("name", "")))
+    n, edges = data["n"], data["edges"]
+    if not _is_int(n):
+        raise GraphError(f'graph JSON "n" must be an integer, got {n!r}')
+    if not isinstance(edges, list):
+        raise GraphError('graph JSON "edges" must be a list')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+            raise GraphError(f"graph JSON edge {e!r} is not a pair of integer vertex ids")
+    return Graph(n, [tuple(e) for e in edges], str(data.get("name", "")))
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_from_text(text: str) -> Graph:
@@ -359,10 +379,12 @@ def graph_from_text(text: str) -> Graph:
 
 
 def parse_graph(text: str, name: str | None = None) -> Graph:
+    """A graph from JSON or plain text; ``name``, if given, replaces the
+    name the text carries (a new Graph, as Graphs are immutable)."""
     stripped = text.lstrip()
     g = graph_from_json(text) if stripped.startswith("{") else graph_from_text(text)
     if name is not None:
-        g.name = name
+        g = Graph(g.n, g.edges, name)
     return g
 
 

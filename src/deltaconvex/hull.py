@@ -4,9 +4,11 @@ The interval of S adds every vertex that forms a triangle with two members
 of S; the hull iterates this to the least fixpoint. Empty sets and
 singletons are vacuously convex (any addition needs two set members).
 
-The mask-level entry points (``interval_mask``, ``hull_mask``) are the hot
-path: invariant searches call the hull millions of times, so they scan the
-graph's cached triangle list with plain int arithmetic.
+The mask-level entry points (``interval_mask``, ``hull_mask``,
+``extend_hull``) are the hot path and work on plain int bitmasks.
+``hull_mask`` closes a set from scratch by scanning the graph's cached
+triangle list; ``extend_hull`` grows an already closed set by one vertex
+through a per-vertex worklist, which is what the invariant searches use.
 """
 
 from __future__ import annotations
@@ -62,6 +64,27 @@ def hull_mask(g: Graph, mask: int) -> int:
             if inter != tm and inter & (inter - 1):
                 cur |= tm
                 changed = True
+    return cur
+
+
+def extend_hull(g: Graph, closed_mask: int, v: int) -> int:
+    """Hull of ``closed_mask`` plus ``v``, where ``closed_mask`` is convex.
+
+    A triangle of a convex set never has exactly two members in it, so only
+    triangles through a newly added vertex can fire: a worklist from ``v``
+    scans just those.
+    """
+    cur = closed_mask | 1 << v
+    if not g.adj[v] & closed_mask:
+        return cur
+    pairs = g.triangle_pairs
+    todo = [v]
+    while todo:
+        for pm in pairs[todo.pop()]:
+            out = pm & ~cur
+            if out and out != pm:
+                cur |= out
+                todo.append(out.bit_length() - 1)
     return cur
 
 

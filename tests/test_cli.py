@@ -91,6 +91,35 @@ def test_generate_bad_params(tmp_path, capsys):
     assert rc == 2
 
 
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+def test_string_vertex_ids_are_usage_error(tmp_path, capsys):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"n": 3, "edges": [["a", "b"], ["b", "c"]]}))
+    assert main(["invariant", "--which", "c", "--graph", str(p)]) == 2
+    assert "edge" in _single_error_line(capsys)
+
+
+def test_non_integer_family_parameter_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert main(["generate", "path", "--params", '{"n": "x"}', "-o", str(out)]) == 2
+    assert "'n'" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+def test_non_object_family_parameters_are_usage_error(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert main(["generate", "path", "--params", "[3]", "-o", str(out)]) == 2
+    assert "JSON object" in _single_error_line(capsys)
+    assert not out.exists()
+
+
 def test_product_command(tmp_path):
     a = _write(tmp_path, "a.json", graph_from_edges(2, [(0, 1)], name="P2"))
     b = _write(tmp_path, "b.json", graph_from_edges(2, [(0, 1)], name="Q2"))

@@ -203,6 +203,11 @@ def test_helly_early_stop_is_exhaustive():
     assert res.search_bound_used == 3  # stopped after finding size 3 empty
 
 
+def test_helly_search_is_not_limited_by_recursion_depth():
+    res = helly_number(path(1100).graph)
+    assert res.value == 1100 and res.exhaustive
+
+
 def test_extremal_set_is_first_in_enumeration_order():
     res = exchange_number(path(5).graph)
     assert res.extremal_set == {0, 1}

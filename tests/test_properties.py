@@ -16,6 +16,8 @@ from deltaconvex import (
     naive_exchange_number,
     naive_helly_number,
 )
+from deltaconvex.graphs import vertex_mask
+from deltaconvex.hull import extend_hull, hull_mask
 
 
 @st.composite
@@ -92,11 +94,24 @@ def test_closure_rounds_bounded_by_n(gs):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(max_n=6))
+@given(graphs(max_n=7))
 def test_pruned_search_equals_naive(g):
-    assert caratheodory_number(g).value == naive_caratheodory_number(g).value
-    assert exchange_number(g).value == naive_exchange_number(g).value
-    assert helly_number(g).value == naive_helly_number(g).value
+    for max_size in [None, *range(1, g.n + 1)]:
+        for pruned, naive in (
+            (caratheodory_number, naive_caratheodory_number),
+            (exchange_number, naive_exchange_number),
+            (helly_number, naive_helly_number),
+        ):
+            a, b = pruned(g, max_size), naive(g, max_size)
+            assert (a.value, a.extremal_set) == (b.value, b.extremal_set)
+
+
+@given(graph_and_subset(), st.integers(0, 7))
+def test_extend_hull_equals_hull_from_scratch(gs, v):
+    g, s = gs
+    v %= g.n
+    closed = hull_mask(g, vertex_mask(s))
+    assert extend_hull(g, closed, v) == hull_mask(g, vertex_mask(s) | 1 << v)
 
 
 @settings(max_examples=60, deadline=None)
