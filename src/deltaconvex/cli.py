@@ -69,6 +69,8 @@ _INVARIANTS = {
 
 
 def cmd_invariant(args: argparse.Namespace) -> int:
+    if args.max_size is not None and args.max_size < 1:
+        raise ValueError(f"--max-size must be at least 1, got {args.max_size}")
     g = load_graph(args.graph)
     pruned, naive = _INVARIANTS[args.which]
     fn = naive if args.naive else pruned
@@ -118,6 +120,11 @@ def _build_family(family: str, params: object, seed: int) -> FamilyInstance:
     if not isinstance(params, dict):
         raise FamilyError("--params must be a JSON object")
     generator, names, seeded = _FAMILIES[family]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise FamilyError(
+            f"family {family!r} takes parameters {list(names)}, not {unknown}"
+        )
     args = []
     for name in names:
         if name not in params:

@@ -104,6 +104,16 @@ class Graph:
         return tuple(tuple(p) for p in pairs)
 
     @cached_property
+    def triangle_index_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex v, the pair (a, b) of every triangle {v, a, b}, a < b."""
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for u, v, w in self.triangles:
+            pairs[u].append((v, w))
+            pairs[v].append((u, w))
+            pairs[w].append((u, v))
+        return tuple(tuple(p) for p in pairs)
+
+    @cached_property
     def triangle_vertex_mask(self) -> int:
         m = 0
         for tm in self.triangle_masks:

@@ -5,10 +5,22 @@ of S; the hull iterates this to the least fixpoint. Empty sets and
 singletons are vacuously convex (any addition needs two set members).
 
 The mask-level entry points (``interval_mask``, ``hull_mask``,
-``extend_hull``) are the hot path and work on plain int bitmasks.
-``hull_mask`` closes a set from scratch by scanning the graph's cached
-triangle list; ``extend_hull`` grows an already closed set by one vertex
-through a per-vertex worklist, which is what the invariant searches use.
+``extend_hull``) are the hot path and work on plain int bitmasks. Both
+closures are worklists over vertices, so each member's triangles are
+scanned once rather than every triangle once per pass:
+
+- ``hull_mask`` closes a set from scratch. It keeps membership in one
+  byte per vertex and reads the per-vertex index pairs
+  ``Graph.triangle_index_pairs``, since testing a byte is cheaper than
+  masking a many-digit int; it converts to a mask once, at the end.
+- ``extend_hull`` grows an already closed set by one vertex over the mask
+  pairs ``Graph.triangle_pairs``. Its input is already a mask and few
+  vertices join per call, so it tests membership on the mask directly;
+  the invariant searches call it for every node.
+
+``interval_mask`` is one pass over every triangle, and the traced closure
+and the convexity test are defined pass by pass through it; it is also
+the independent reference the tests check both worklists against.
 """
 
 from __future__ import annotations
@@ -52,19 +64,57 @@ def interval_mask(g: Graph, mask: int) -> int:
     return out
 
 
+# bytes.translate table from one membership byte (0 or 1) per vertex to the
+# ASCII binary digits that ``int(..., 2)`` reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def hull_mask(g: Graph, mask: int) -> int:
-    """Least fixpoint of the interval operator containing ``mask``."""
-    tris = g.triangle_masks
-    cur = mask
-    changed = True
-    while changed:
-        changed = False
-        for tm in tris:
-            inter = tm & cur
-            if inter != tm and inter & (inter - 1):
-                cur |= tm
-                changed = True
-    return cur
+    """Least fixpoint of the interval operator containing ``mask``.
+
+    A worklist over vertices: membership is one byte per vertex, and a
+    popped member scans its triangles in ``g.triangle_index_pairs``, adding
+    the third vertex of every triangle it shares with exactly one other
+    member. A triangle fires only once two of its vertices are in, and one
+    of those two is scanned after both are (the later to join, or both when
+    both are in ``mask``), so scanning each member's triangles once reaches
+    the same least fixpoint as repeated passes. Only members with a
+    neighbour in ``mask`` share a triangle with another member, so they
+    seed the worklist. Returns ``g.full_mask`` as soon as every vertex is
+    in.
+    """
+    adj = g.adj
+    inside = bytearray(g.n)
+    todo = []
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        inside[v] = 1
+        if adj[v] & mask:
+            todo.append(v)
+        m ^= low
+    if not todo:
+        return mask
+    pairs = g.triangle_index_pairs
+    left = outside = g.n - mask.bit_count()
+    pop, push = todo.pop, todo.append
+    while todo:
+        for a, b in pairs[pop()]:
+            if inside[a]:
+                if inside[b]:
+                    continue
+                a = b
+            elif not inside[b]:
+                continue
+            inside[a] = 1
+            push(a)
+            left -= 1
+        if not left:
+            return g.full_mask
+    if left == outside:
+        return mask
+    return int(inside[::-1].translate(_DIGITS), 2)
 
 
 def extend_hull(g: Graph, closed_mask: int, v: int) -> int:

@@ -517,9 +517,6 @@ class Corpus:
     def universal_instances(self) -> tuple[FamilyInstance, ...]:
         return self.base + self.gadgets + self.blocks + self.chordal
 
-    def all_instances(self) -> tuple[FamilyInstance, ...]:
-        return self.universal_instances()
-
 
 def triangle_free_corpus() -> list[FamilyInstance]:
     out = [path(n) for n in range(2, 9)]
@@ -657,10 +654,14 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     for s in config.suites:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}; use subsets of {SUITES}")
+    if config.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {config.jobs}")
     corpus = build_corpus(config)
     tasks = _collect_tasks(config, corpus)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # The pool starts all its workers at once; no more than there are tasks.
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_execute_task, tasks))
     else:
         results = [_execute_task(t) for t in tasks]

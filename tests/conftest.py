@@ -27,7 +27,7 @@ def small_corpus():
 
     corpus = build_corpus(SuiteConfig())
     out = []
-    for inst in corpus.all_instances():
+    for inst in corpus.universal_instances():
         if inst.graph.n <= 8:
             out.append((inst.graph.name, inst.graph))
     return out

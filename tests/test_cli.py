@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
 
-from deltaconvex import graph_from_edges, save_graph
-from deltaconvex.cli import main
-from deltaconvex.families import gadget_c
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from deltaconvex import graph_from_edges, graph_to_json, save_graph
+from deltaconvex.cli import _FAMILIES, main
+from deltaconvex.families import gadget_c, random_graph
 
 
 def _write(tmp_path, name, g):
@@ -179,3 +186,117 @@ def test_verify_budget_zero_warns(capsys):
     assert rc == 0
     err = capsys.readouterr().err
     assert "warning" in err
+
+
+def test_max_size_below_one_is_usage_error(tmp_path, capsys):
+    gpath = _write(tmp_path, "g.json", gadget_c(3).graph)
+    for bad in ("0", "-3"):
+        assert main(["invariant", "--which", "c", "--graph", gpath, "--max-size", bad]) == 2
+        assert "--max-size" in _single_error_line(capsys)
+
+
+def test_jobs_below_one_is_usage_error(capsys):
+    assert main(["verify", "--suite", "blocks", "--jobs", "0"]) == 2
+    assert "jobs" in _single_error_line(capsys)
+
+
+def test_unknown_family_parameter_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert main(["generate", "path", "--params", '{"n": 3, "extra": 1}', "-o", str(out)]) == 2
+    assert "'extra'" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+# --- fuzzing ------------------------------------------------------------
+
+_GRAPH_FILES = {
+    "gadget.json": graph_to_json(gadget_c(3).graph),
+    "dense.json": graph_to_json(random_graph(12, 0.5, 1).graph),
+    "sparse.txt": "12\n0 1\n1 2\n0 2\n2 3\n5 6\n",
+    "strings.json": json.dumps({"n": 3, "edges": [["a", "b"]]}),
+    "loop.json": json.dumps({"n": 3, "edges": [[1, 1]]}),
+    "range.json": json.dumps({"n": 2, "edges": [[0, 5]]}),
+    "negative.json": json.dumps({"n": -2, "edges": []}),
+    "broken.json": '{"n": 3, "edges": [[0, 1]',
+    "list.json": "[1, 2]",
+    "text.txt": "3\n0 1 2\n",
+    "empty.txt": "",
+}
+_VALID_GRAPHS = ("gadget.json", "dense.json", "sparse.txt")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _GRAPH_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+_SETS = st.sampled_from(["", "0", "0,1", "0,1,2,3", "0,,x", "a,b", "-1,2", "0,11", "99"])
+_PARAMS = st.sampled_from([
+    '{"n": 4}', '{"n": 0}', '{"n": -2}', '{"n": "x"}', '{"n": 3, "extra": 1}',
+    '{"n": 4.5}', '{"m": 2, "n": 3}', '{"sizes": [3, 2]}', '{"sizes": [3, "a"]}',
+    '{"sizes": []}', '{"sizes": [1, -2]}', '{"chains": [[3], [3]]}',
+    '{"chains": [3]}', '{"chains": [[]]}', '{"k": 2}', '{"k": 0}',
+    '{"n": 8, "p": 0.5}', '{"n": 8, "p": "x"}', '{"n": 8, "p": NaN}',
+    "[3]", "null", "not json", "{",
+])
+_VALUES = st.one_of(
+    _SETS,
+    _PARAMS,
+    st.sampled_from(["c", "e", "h", "x", "1e3"] + sorted(_FAMILIES)),
+    st.integers(-20, 12).map(str),
+    st.text(max_size=6),
+)
+_OPTIONS = st.sampled_from([
+    "--graph", "--set", "--trace", "--which", "--max-size", "--naive",
+    "--params", "--seed", "-o", "--output", "--bogus",
+])
+
+
+@st.composite
+def _argv(draw, root):
+    command = draw(st.sampled_from(["hull", "invariant", "generate"]))
+    files = st.sampled_from(
+        [str(root / name) for name in _GRAPH_FILES] + [str(root / "missing.json"), str(root)]
+    )
+    noise = st.lists(st.one_of(_OPTIONS, _VALUES, files), max_size=8)
+    graphs = st.sampled_from([str(root / name) for name in _VALID_GRAPHS]) | files
+    if draw(st.booleans()):
+        return [command] + draw(noise)
+    # The required options with plausible values, so the commands' own
+    # validation runs and not only argparse's.
+    number = draw(st.integers(-3, 12).map(str))
+    if command == "generate":
+        head = [draw(st.sampled_from(sorted(_FAMILIES))), "--params", draw(_PARAMS),
+                "-o", str(root / "out.json")]
+        optional = [["--seed", number]]
+    elif command == "hull":
+        head = ["--graph", draw(graphs), "--set", draw(_SETS)]
+        optional = [["--trace"]]
+    else:
+        head = ["--graph", draw(graphs), "--which", draw(st.sampled_from("ceh"))]
+        optional = [["--naive"], ["--max-size", number]]
+    for tokens in optional:
+        if draw(st.booleans()):
+            head += tokens
+    return [command] + head
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_dir, data):
+    argv = data.draw(_argv(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # a stray "-o NAME" writes here, not into the checkout
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

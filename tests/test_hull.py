@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from deltaconvex import (
+    Graph,
     GraphError,
     delta_hull,
     delta_hull_traced,
@@ -12,7 +13,8 @@ from deltaconvex import (
     is_delta_convex,
     is_hull_set,
 )
-from deltaconvex.families import complete, gadget_c, path, two_connected_chordal
+from deltaconvex.families import complete, cycle, gadget_c, path, two_connected_chordal
+from deltaconvex.hull import hull_mask
 from conftest import random_graph_raw, random_subset
 
 K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -62,6 +64,28 @@ def test_is_hull_set():
     chordal = two_connected_chordal(8, 3).graph
     for u, v in chordal.edges:
         assert is_hull_set(chordal, {u, v})
+
+
+def test_hull_mask_edge_cases():
+    empty = Graph(0, [])
+    assert hull_mask(empty, 0) == 0 == empty.full_mask
+    assert is_hull_set(empty, ())
+    for g in (K3, P4, K4, gadget_c(5).graph, cycle(6).graph):
+        assert hull_mask(g, 0) == 0
+        assert hull_mask(g, g.full_mask) == g.full_mask
+    # triangle-free: every set is its own hull, adjacent members or not
+    c6 = cycle(6).graph
+    for mask in range(1 << c6.n):
+        assert hull_mask(c6, mask) == mask
+
+
+def test_is_hull_set_on_relabelled_chordal_graph():
+    base = two_connected_chordal(60, 0).graph
+    perm = list(range(base.n))
+    random.Random(60).shuffle(perm)
+    g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+    for u, v in g.edges:
+        assert is_hull_set(g, {u, v})
 
 
 def test_hull_matches_oracle():

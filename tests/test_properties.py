@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -17,7 +18,7 @@ from deltaconvex import (
     naive_helly_number,
 )
 from deltaconvex.graphs import vertex_mask
-from deltaconvex.hull import extend_hull, hull_mask
+from deltaconvex.hull import extend_hull, hull_mask, interval_mask
 
 
 @st.composite
@@ -112,6 +113,47 @@ def test_extend_hull_equals_hull_from_scratch(gs, v):
     v %= g.n
     closed = hull_mask(g, vertex_mask(s))
     assert extend_hull(g, closed, v) == hull_mask(g, vertex_mask(s) | 1 << v)
+
+
+@st.composite
+def large_graph_and_mask(draw, max_n=90):
+    """Seeded random graphs up to ``max_n`` vertices (several int digits)
+    with a mask of any density, the empty and full masks included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    p = draw(st.sampled_from([0.03, 0.08, 0.15, 0.3, 0.6]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    mask = draw(st.one_of(st.integers(0, g.full_mask), st.just(g.full_mask)))
+    return g, mask
+
+
+def _interval_fixpoint(g, mask):
+    while True:
+        grown = interval_mask(g, mask)
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_graph_and_mask())
+def test_hull_mask_equals_interval_fixpoint(gm):
+    g, mask = gm
+    assert hull_mask(g, mask) == _interval_fixpoint(g, mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_graph_and_mask(max_n=40), st.randoms(use_true_random=False))
+def test_hull_commutes_with_relabelling(gm, rnd):
+    g, mask = gm
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    moved = vertex_mask(perm[v] for v in range(g.n) if mask >> v & 1)
+    hull = hull_mask(g, mask)
+    assert hull_mask(relabelled, moved) == vertex_mask(
+        perm[v] for v in range(g.n) if hull >> v & 1
+    )
 
 
 @settings(max_examples=60, deadline=None)

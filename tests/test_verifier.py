@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from deltaconvex import verifier
 from deltaconvex.families import (
     block_chain,
     block_tree,
@@ -142,6 +143,41 @@ def test_run_suite_deterministic_across_jobs():
     r1 = run_suite(FAST)
     r2 = run_suite(SuiteConfig(random_count=4, chordal_count=3, jobs=3))
     assert r1.lines() == r2.lines()
+
+
+def test_run_suite_pool_has_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs tasks in this process and records the requested size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", RecordingPool)
+    config = SuiteConfig(suites=("blocks",), random_count=2, chordal_count=2)
+    tasks = len(verifier._collect_tasks(config, build_corpus(config)))
+    assert tasks > 2
+    serial = run_suite(config).lines()
+    for jobs, expected in ((1000, tasks), (2, 2)):
+        report = run_suite(SuiteConfig(suites=("blocks",), random_count=2, chordal_count=2, jobs=jobs))
+        assert sizes.pop() == expected
+        assert report.lines() == serial
+    assert not sizes
+
+
+def test_run_suite_rejects_jobs_below_one():
+    with pytest.raises(ValueError, match="jobs"):
+        run_suite(SuiteConfig(jobs=0))
 
 
 def test_run_suite_budget_zero_skips_everything():
