@@ -19,6 +19,9 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 INF = float("inf")
+# The most vertices a graph file may declare: files come from outside the
+# program, and a ``Graph`` allocates per vertex.
+MAX_VERTICES = 1 << 20
 
 
 class GraphError(ValueError):
@@ -360,6 +363,7 @@ def graph_from_json(text: str) -> Graph:
     n, edges = data["n"], data["edges"]
     if not _is_int(n):
         raise GraphError(f'graph JSON "n" must be an integer, got {n!r}')
+    _check_vertex_count(n)
     if not isinstance(edges, list):
         raise GraphError('graph JSON "edges" must be a list')
     for e in edges:
@@ -370,6 +374,11 @@ def graph_from_json(text: str) -> Graph:
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} is over the limit of {MAX_VERTICES}")
 
 
 def graph_from_text(text: str) -> Graph:
@@ -385,6 +394,7 @@ def graph_from_text(text: str) -> Graph:
             edges.append((int(u), int(v)))
     except ValueError as exc:
         raise GraphError(f"invalid graph text: {exc}") from exc
+    _check_vertex_count(n)
     return Graph(n, edges)
 
 

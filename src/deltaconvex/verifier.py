@@ -7,6 +7,16 @@ line-delimited JSON with stable field order followed by a summary object,
 so identical configurations produce byte-identical reports regardless of
 parallelism width.
 
+Each universal and product theorem is declared once, in
+``_UNIVERSAL_THEOREMS`` or under its product kind in ``_PRODUCT_THEOREMS``,
+in report order: an id plus one check that maps a ``_Case`` to
+``(predicted, observed, status, reason)``. The same tables name the
+skipped rows when the budget rules a task out. A ``_Case`` holds one
+task's graphs and a memo, so each (invariant, graph) search runs at most
+once per task. Checks reach searches, witnesses and graph queries through
+module globals at call time, so rebinding those names (as the benchmark's
+tracer does) sees every call.
+
 Statuses: ``pass`` and ``fail`` compare an exhaustively computed value
 with the prediction; ``hypothesis_unmet`` records that a theorem's
 preconditions do not hold for the graph (never silently dropped);
@@ -17,10 +27,12 @@ diagnostic findings that are surfaced without failing the run.
 from __future__ import annotations
 
 import json
+import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from math import comb
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 from .families import (
     FamilyInstance,
@@ -39,6 +51,7 @@ from .families import (
 from .graphs import Graph, diameter, is_connected
 from .hull import is_hull_set
 from .independence import (
+    InvariantResult,
     cara_property_iii_violations,
     caratheodory_number,
     exchange_number,
@@ -56,12 +69,9 @@ from .products import (
 
 SUITES = ("universal", "blocks", "chordal", "gadgets", "products")
 
-_UNIVERSAL_IDS = ("sierksma", "cara_triangle_bound", "exch_triangle_bound", "cara_prop_iii")
-_PRODUCT_IDS = {
-    "cartesian": ("cart_e_lb", "cart_c_lb", "cart_pn_e_eq", "cart_pn_c_eq"),
-    "strong": ("strong_e3_strict", "strong_e3_weak", "strong_lex_c2"),
-    "lexicographic": ("lex_e", "strong_lex_c2"),
-}
+# Candidate subsets (``_search_cost``) above which a product's full
+# search is skipped: gc3 box P4 (616,665 for e) stays out of the corpus.
+SEARCH_COST_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -74,16 +84,7 @@ class TheoremCheck:
     reason: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem_id": self.theorem_id,
-                "graph": self.graph,
-                "predicted": self.predicted,
-                "observed": self.observed,
-                "status": self.status,
-                "reason": self.reason,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ class SuiteConfig:
     jobs: int = 1
     random_count: int = 30
     chordal_count: int = 10
-    search_cost_limit: int = 200_000
     families: tuple[str, ...] | None = None
     theorems: tuple[str, ...] | None = None
 
@@ -118,17 +118,6 @@ class SuiteReport:
         out = [c.to_json() for c in self.checks]
         out.append(json.dumps({"summary": self.summary}))
         return out
-
-
-def _row(
-    theorem_id: str,
-    graph: str,
-    predicted: str,
-    observed: str,
-    status: str,
-    reason: str | None = None,
-) -> TheoremCheck:
-    return TheoremCheck(theorem_id, graph, predicted, observed, status, reason)
 
 
 def _verdict(ok: bool) -> str:
@@ -158,66 +147,189 @@ def _search_cost(g: Graph, which: str) -> int:
     return sum(comb(pool, s) for s in range(1, cap + 1))
 
 
-def _search_feasible(g: Graph, which: str, config: SuiteConfig) -> bool:
-    return config.budget > 0 and _search_cost(g, which) <= config.search_cost_limit
+# --- theorem tables ----------------------------------------------------
+
+Outcome = tuple[str, str, str, "str | None"]  # predicted, observed, status, reason
 
 
-# --- per-graph checks --------------------------------------------------
+@dataclass
+class _Case:
+    """The graphs one task checks: ``graph`` itself (the product, for a
+    product case) and the factor instances ``g`` and ``h``; each
+    (invariant, graph) search runs at most once."""
+
+    graph: Graph
+    g: FamilyInstance | None = None
+    h: FamilyInstance | None = None
+    _found: dict[tuple[str, Graph], InvariantResult] = field(default_factory=dict, init=False)
+
+    def search(self, inv: str, graph: Graph | None = None) -> InvariantResult:
+        key = (inv, self.graph if graph is None else graph)
+        if key not in self._found:
+            self._found[key] = _search(*key)
+        return self._found[key]
+
+    def factors_connected(self) -> bool:
+        return all(f.graph.n >= 2 and is_connected(f.graph) for f in (self.g, self.h))
+
+
+def _search(inv: str, g: Graph) -> InvariantResult:
+    return {"c": caratheodory_number, "e": exchange_number, "h": helly_number}[inv](g)
+
+
+def _full_search(case: _Case, inv: str, predicted: str, expected: int) -> Outcome:
+    """Compare the product's exhaustive ``inv`` with ``expected`` if the
+    search is affordable. A failing row carries the extremal set, so a
+    refuted prediction comes with its machine-checkable counterexample."""
+    cost = _search_cost(case.graph, inv)
+    if cost > SEARCH_COST_LIMIT:
+        reason = f"search cost {cost} over limit {SEARCH_COST_LIMIT}"
+        return predicted, "not computed", "skipped", reason
+    res = case.search(inv)
+    ok = res.value == expected
+    reason = None if ok else f"extremal set {sorted(res.extremal_set)}"
+    return predicted, f"{inv}={res.value}", _verdict(ok), reason
+
+
+def _sierksma(case: _Case) -> Outcome:
+    c, e, h = (case.search(inv).value for inv in "ceh")
+    ok = e - 1 <= c <= max(h, e - 1)
+    return "e - 1 <= c <= max(h, e - 1)", f"c={c}, e={e}, h={h}", _verdict(ok), None
+
+
+def _triangle_bound(inv: str, extra: int, case: _Case) -> Outcome:
+    """``inv`` is at most the number of triangles plus ``extra``."""
+    bound = len(case.graph.triangles) + extra
+    value = case.search(inv).value
+    return f"{inv} <= {bound}", f"{inv}={value}", _verdict(value <= bound), None
+
+
+def _prop_iii(case: _Case) -> Outcome:
+    c = case.search("c")
+    violations = cara_property_iii_violations(case.graph, c.extremal_set) if c.value >= 2 else ()
+    predicted = "no violating pair on the extremal set"
+    if violations:
+        return (predicted, f"pairs {sorted(violations)}", "flagged",
+                "diagnostic only; not used for pruning")
+    return predicted, "none", "pass", None
+
+
+def _cart_lower_bound(inv: str, case: _Case) -> Outcome:
+    """The explicit witness of the Cartesian lower bound on ``inv`` is
+    independent and as large as the bound; where affordable, the full
+    search agrees."""
+    g, h = case.g.graph, case.h.graph
+    rg, rh = case.search(inv, g), case.search(inv, h)
+    if rg.value <= 2 or rh.value <= 2:
+        formula = "(e(G)-1)(e(H)-1)+1" if inv == "e" else "c(G)c(H)"
+        return (f"{inv} >= {formula}", f"{inv}(G)={rg.value}, {inv}(H)={rh.value}",
+                "hypothesis_unmet", f"needs {inv} > 2 in both factors")
+    if inv == "e":
+        bound = (rg.value - 1) * (rh.value - 1) + 1
+        pivot_g = is_e_independent(g, rg.extremal_set).witness[0]
+        pivot_h = is_e_independent(h, rh.extremal_set).witness[0]
+        witness = cartesian_e_witness(g, rg.extremal_set, pivot_g, h, rh.extremal_set, pivot_h)
+        verdict = is_e_independent(case.graph, witness)
+    else:
+        bound = rg.value * rh.value
+        witness = cartesian_c_witness(g, rg.extremal_set, h, rh.extremal_set)
+        verdict = is_c_independent(case.graph, witness)
+    ok = verdict.independent and len(witness) == bound
+    observed = f"witness size {len(witness)}, independent={verdict.independent}"
+    if _search_cost(case.graph, inv) <= SEARCH_COST_LIMIT:
+        value = case.search(inv).value
+        ok = ok and value >= bound
+        observed += f", {inv}={value}"
+    return f"{inv} >= {bound}", observed, _verdict(ok), None
+
+
+def _cart_path_equality(inv: str, least: int, case: _Case) -> Outcome:
+    """``inv`` of a Cartesian product with a path is the other factor's if >= ``least``."""
+    values = {}
+    for side, other, path_factor in (("G", case.g, case.h), ("H", case.h, case.g)):
+        values[side] = case.search(inv, other.graph).value
+        if path_factor.family == "path" and values[side] >= least:
+            predicted = f"{inv} = {inv}({side}) = {values[side]}"
+            return _full_search(case, inv, predicted, values[side])
+    return (f"{inv}(G box Pn) = {inv}(G)", f"{inv}(G)={values['G']}, {inv}(H)={values['H']}",
+            "hypothesis_unmet", f"needs a path factor and {inv} >= {least} in the other factor")
+
+
+def _strong_e3(compare: Callable[[int, int], bool], label: str, case: _Case) -> Outcome:
+    """e = 3 for connected nontrivial factors, one with ``compare(diameter, 2)``."""
+    dg, dh = diameter(case.g.graph), diameter(case.h.graph)
+    if case.factors_connected() and (compare(dg, 2) or compare(dh, 2)):
+        return _full_search(case, "e", "e = 3", 3)
+    return ("e = 3", f"diam(G)={dg}, diam(H)={dh}", "hypothesis_unmet",
+            f"needs connected nontrivial factors, one with diameter {label} 2")
+
+
+def _lex_e(case: _Case) -> Outcome:
+    if not case.factors_connected():
+        return ("e = 3 or 2 by case", "hypothesis not satisfied", "hypothesis_unmet",
+                "needs connected nontrivial factors")
+    evp, _ = has_edge_vertex_property(case.h.graph)
+    big_diam = diameter(case.g.graph) >= 2
+    expected = 3 if big_diam or evp else 2
+    why = f"diam(G) >= 2: {big_diam}, H edge-vertex property: {evp}"
+    return _full_search(case, "e", f"e = {expected} ({why})", expected)
+
+
+def _c2(case: _Case) -> Outcome:
+    if not case.factors_connected() or not case.graph.edges:
+        return ("c = 2", "hypothesis not satisfied", "hypothesis_unmet",
+                "needs connected nontrivial factors")
+    return _full_search(case, "c", "c = 2", 2)
+
+
+Theorems = tuple[tuple[str, Callable[[_Case], Outcome]], ...]
+
+_UNIVERSAL_THEOREMS: Theorems = (
+    ("sierksma", _sierksma),
+    ("cara_triangle_bound", partial(_triangle_bound, "c", 1)),
+    ("exch_triangle_bound", partial(_triangle_bound, "e", 2)),
+    ("cara_prop_iii", _prop_iii),
+)
+_PRODUCT_THEOREMS: dict[str, Theorems] = {
+    "cartesian": (
+        ("cart_e_lb", partial(_cart_lower_bound, "e")),
+        ("cart_c_lb", partial(_cart_lower_bound, "c")),
+        ("cart_pn_e_eq", partial(_cart_path_equality, "e", 3)),
+        ("cart_pn_c_eq", partial(_cart_path_equality, "c", 4)),
+    ),
+    "strong": (
+        ("strong_e3_strict", partial(_strong_e3, operator.gt, ">")),
+        ("strong_e3_weak", partial(_strong_e3, operator.ge, ">=")),
+        ("strong_lex_c2", _c2),
+    ),
+    "lexicographic": (
+        ("lex_e", _lex_e),
+        ("strong_lex_c2", _c2),
+    ),
+}
+
+
+def _check_all(theorems: Theorems, case: _Case) -> list[TheoremCheck]:
+    return [TheoremCheck(tid, case.graph.name, *check(case)) for tid, check in theorems]
+
+
+def _skip_all(theorems: Theorems, name: str, predicted: str, reason: str) -> list[TheoremCheck]:
+    return [
+        TheoremCheck(tid, name, predicted, "not computed", "skipped", reason)
+        for tid, _ in theorems
+    ]
+
+
+# --- per-task checks ---------------------------------------------------
 
 def verify_graph_universal(inst: FamilyInstance, config: SuiteConfig) -> list[TheoremCheck]:
     """Sierksma inequalities plus the two triangle-count bounds."""
     g = inst.graph
-    name = g.name
     if not _universal_feasible(g, config.budget):
-        reason = (
-            f"over budget (n={g.n}, triangle vertices="
-            f"{g.triangle_vertex_mask.bit_count()}, budget={config.budget})"
-        )
-        return [
-            _row(tid, name, "exhaustive invariants", "not computed", "skipped", reason)
-            for tid in _UNIVERSAL_IDS
-        ]
-    c = caratheodory_number(g)
-    e = exchange_number(g)
-    h = helly_number(g)
-    k = len(g.triangles)
-    rows = [
-        _row(
-            "sierksma",
-            name,
-            "e - 1 <= c <= max(h, e - 1)",
-            f"c={c.value}, e={e.value}, h={h.value}",
-            _verdict(e.value - 1 <= c.value <= max(h.value, e.value - 1)),
-        ),
-        _row(
-            "cara_triangle_bound",
-            name,
-            f"c <= {k + 1}",
-            f"c={c.value}",
-            _verdict(c.value <= k + 1),
-        ),
-        _row(
-            "exch_triangle_bound",
-            name,
-            f"e <= {k + 2}",
-            f"e={e.value}",
-            _verdict(e.value <= k + 2),
-        ),
-    ]
-    violations = (
-        cara_property_iii_violations(g, c.extremal_set) if c.value >= 2 else ()
-    )
-    rows.append(
-        _row(
-            "cara_prop_iii",
-            name,
-            "no violating pair on the extremal set",
-            "none" if not violations else f"pairs {sorted(violations)}",
-            "pass" if not violations else "flagged",
-            None if not violations else "diagnostic only; not used for pruning",
-        )
-    )
-    return rows
+        tv = g.triangle_vertex_mask.bit_count()
+        reason = f"over budget (n={g.n}, triangle vertices={tv}, budget={config.budget})"
+        return _skip_all(_UNIVERSAL_THEOREMS, g.name, "exhaustive invariants", reason)
+    return _check_all(_UNIVERSAL_THEOREMS, _Case(g))
 
 
 def verify_family(inst: FamilyInstance, config: SuiteConfig) -> list[TheoremCheck]:
@@ -227,280 +339,37 @@ def verify_family(inst: FamilyInstance, config: SuiteConfig) -> list[TheoremChec
     feasible = _universal_feasible(g, config.budget)
     for inv in sorted(inst.predictions):
         pred = inst.predictions[inv]
-        if not feasible:
-            rows.append(
-                _row(
-                    pred.theorem,
-                    g.name,
-                    pred.describe(inv),
-                    "not computed",
-                    "skipped",
-                    f"over budget (n={g.n}, budget={config.budget})",
-                )
-            )
-            continue
-        res = caratheodory_number(g) if inv == "c" else exchange_number(g)
-        rows.append(
-            _row(
-                pred.theorem,
-                g.name,
-                pred.describe(inv),
-                f"{inv}={res.value}",
-                _verdict(pred.holds(res.value)),
-            )
-        )
+        if feasible:
+            value = _search(inv, g).value
+            outcome = f"{inv}={value}", _verdict(pred.holds(value)), None
+        else:
+            outcome = "not computed", "skipped", f"over budget (n={g.n}, budget={config.budget})"
+        rows.append(TheoremCheck(pred.theorem, g.name, pred.describe(inv), *outcome))
     if inst.family == "two_connected_chordal":
         rows.append(_hull2_row(g, config))
     return rows
 
 
 def _hull2_row(g: Graph, config: SuiteConfig) -> TheoremCheck:
+    row = partial(TheoremCheck, "hull2_chordal", g.name, "every adjacent pair is a hull set")
     if config.budget <= 0:
-        return _row(
-            "hull2_chordal", g.name, "every adjacent pair is a hull set",
-            "not computed", "skipped", "budget is 0",
-        )
+        return row("not computed", "skipped", "budget is 0")
     bad = [(u, v) for u, v in g.edges if not is_hull_set(g, (u, v))]
     total = len(g.edges)
     if bad:
-        return _row(
-            "hull2_chordal",
-            g.name,
-            "every adjacent pair is a hull set",
-            f"{total - len(bad)}/{total} pairs; first failure {bad[0]}",
-            "fail",
-        )
-    return _row(
-        "hull2_chordal",
-        g.name,
-        "every adjacent pair is a hull set",
-        f"{total}/{total} adjacent pairs are hull sets",
-        "pass",
-    )
+        return row(f"{total - len(bad)}/{total} pairs; first failure {bad[0]}", "fail")
+    return row(f"{total}/{total} adjacent pairs are hull sets", "pass")
 
 
 def verify_products(
     gi: FamilyInstance, hi: FamilyInstance, kind: str, config: SuiteConfig
 ) -> list[TheoremCheck]:
     kind = normalize_kind(kind)
-    p = product(gi.graph, hi.graph, kind)
-    name = p.graph.name
+    pg = product(gi.graph, hi.graph, kind).graph
+    theorems = _PRODUCT_THEOREMS[kind]
     if config.budget <= 0:
-        return [
-            _row(tid, name, "product theorem", "not computed", "skipped", "budget is 0")
-            for tid in _PRODUCT_IDS[kind]
-        ]
-    if kind == "cartesian":
-        return _cartesian_rows(gi, hi, p.graph, name, config)
-    if kind == "strong":
-        return _strong_rows(gi, hi, p.graph, name, config)
-    return _lex_rows(gi, hi, p.graph, name, config)
-
-
-def _full_search_row(
-    tid: str, name: str, pg: Graph, which: str, predicted: str,
-    expected_ok, observe, config: SuiteConfig,
-) -> TheoremCheck:
-    """Run a full pruned search on the product if affordable.
-
-    A failing row carries the extremal set, so a refuted prediction comes
-    with its machine-checkable counterexample.
-    """
-    if not _search_feasible(pg, which, config):
-        return _row(
-            tid, name, predicted, "not computed", "skipped",
-            f"search cost {_search_cost(pg, which)} over limit {config.search_cost_limit}",
-        )
-    res = caratheodory_number(pg) if which == "c" else exchange_number(pg)
-    ok = expected_ok(res.value)
-    reason = None if ok else f"extremal set {sorted(res.extremal_set)}"
-    return _row(tid, name, predicted, observe(res.value), _verdict(ok), reason)
-
-
-def _cartesian_rows(
-    gi: FamilyInstance, hi: FamilyInstance, pg: Graph, name: str, config: SuiteConfig
-) -> list[TheoremCheck]:
-    rows = []
-    eg = exchange_number(gi.graph)
-    eh = exchange_number(hi.graph)
-    cg = caratheodory_number(gi.graph)
-    ch = caratheodory_number(hi.graph)
-
-    # Lower bound via the explicit witness construction.
-    if eg.value > 2 and eh.value > 2:
-        bound = (eg.value - 1) * (eh.value - 1) + 1
-        pivot_g = is_e_independent(gi.graph, eg.extremal_set).witness[0]
-        pivot_h = is_e_independent(hi.graph, eh.extremal_set).witness[0]
-        witness = cartesian_e_witness(
-            gi.graph, eg.extremal_set, pivot_g, hi.graph, eh.extremal_set, pivot_h
-        )
-        verdict = is_e_independent(pg, witness)
-        ok = verdict.independent and len(witness) == bound
-        observed = f"witness size {len(witness)}, independent={verdict.independent}"
-        if _search_feasible(pg, "e", config):
-            ep = exchange_number(pg)
-            ok = ok and ep.value >= bound
-            observed += f", e={ep.value}"
-        rows.append(
-            _row("cart_e_lb", name, f"e >= {bound}", observed, _verdict(ok))
-        )
-    else:
-        rows.append(
-            _row(
-                "cart_e_lb", name, "e >= (e(G)-1)(e(H)-1)+1",
-                f"e(G)={eg.value}, e(H)={eh.value}", "hypothesis_unmet",
-                "needs e > 2 in both factors",
-            )
-        )
-
-    if cg.value > 2 and ch.value > 2:
-        bound = cg.value * ch.value
-        witness = cartesian_c_witness(
-            gi.graph, cg.extremal_set, hi.graph, ch.extremal_set
-        )
-        verdict = is_c_independent(pg, witness)
-        ok = verdict.independent and len(witness) == bound
-        observed = f"witness size {len(witness)}, independent={verdict.independent}"
-        if _search_feasible(pg, "c", config):
-            cp = caratheodory_number(pg)
-            ok = ok and cp.value >= bound
-            observed += f", c={cp.value}"
-        rows.append(
-            _row("cart_c_lb", name, f"c >= {bound}", observed, _verdict(ok))
-        )
-    else:
-        rows.append(
-            _row(
-                "cart_c_lb", name, "c >= c(G)c(H)",
-                f"c(G)={cg.value}, c(H)={ch.value}", "hypothesis_unmet",
-                "needs c > 2 in both factors",
-            )
-        )
-
-    # Equality against a path factor.
-    if hi.family == "path" and eg.value >= 3:
-        rows.append(
-            _full_search_row(
-                "cart_pn_e_eq", name, pg, "e", f"e = e(G) = {eg.value}",
-                lambda v: v == eg.value, lambda v: f"e={v}", config,
-            )
-        )
-    elif gi.family == "path" and eh.value >= 3:
-        rows.append(
-            _full_search_row(
-                "cart_pn_e_eq", name, pg, "e", f"e = e(H) = {eh.value}",
-                lambda v: v == eh.value, lambda v: f"e={v}", config,
-            )
-        )
-    else:
-        rows.append(
-            _row(
-                "cart_pn_e_eq", name, "e(G box Pn) = e(G)",
-                f"e(G)={eg.value}, e(H)={eh.value}", "hypothesis_unmet",
-                "needs a path factor and e >= 3 in the other factor",
-            )
-        )
-
-    if hi.family == "path" and cg.value >= 4:
-        rows.append(
-            _full_search_row(
-                "cart_pn_c_eq", name, pg, "c", f"c = c(G) = {cg.value}",
-                lambda v: v == cg.value, lambda v: f"c={v}", config,
-            )
-        )
-    elif gi.family == "path" and ch.value >= 4:
-        rows.append(
-            _full_search_row(
-                "cart_pn_c_eq", name, pg, "c", f"c = c(H) = {ch.value}",
-                lambda v: v == ch.value, lambda v: f"c={v}", config,
-            )
-        )
-    else:
-        rows.append(
-            _row(
-                "cart_pn_c_eq", name, "c(G box Pn) = c(G)",
-                f"c(G)={cg.value}, c(H)={ch.value}", "hypothesis_unmet",
-                "needs a path factor and c >= 4 in the other factor",
-            )
-        )
-    return rows
-
-
-def _connected_nontrivial(g: Graph) -> bool:
-    return g.n >= 2 and is_connected(g)
-
-
-def _strong_rows(
-    gi: FamilyInstance, hi: FamilyInstance, pg: Graph, name: str, config: SuiteConfig
-) -> list[TheoremCheck]:
-    rows = []
-    ok_factors = _connected_nontrivial(gi.graph) and _connected_nontrivial(hi.graph)
-    dg = diameter(gi.graph)
-    dh = diameter(hi.graph)
-    for tid, hypot, label in (
-        ("strong_e3_strict", lambda d: d > 2, "diameter > 2"),
-        ("strong_e3_weak", lambda d: d >= 2, "diameter >= 2"),
-    ):
-        if ok_factors and (hypot(dg) or hypot(dh)):
-            rows.append(
-                _full_search_row(
-                    tid, name, pg, "e", "e = 3",
-                    lambda v: v == 3, lambda v: f"e={v}", config,
-                )
-            )
-        else:
-            rows.append(
-                _row(
-                    tid, name, "e = 3",
-                    f"diam(G)={dg}, diam(H)={dh}", "hypothesis_unmet",
-                    f"needs connected nontrivial factors, one with {label}",
-                )
-            )
-    rows.append(_c2_row(gi, hi, pg, name, config))
-    return rows
-
-
-def _c2_row(
-    gi: FamilyInstance, hi: FamilyInstance, pg: Graph, name: str, config: SuiteConfig
-) -> TheoremCheck:
-    ok_factors = _connected_nontrivial(gi.graph) and _connected_nontrivial(hi.graph)
-    if not ok_factors or not pg.edges:
-        return _row(
-            "strong_lex_c2", name, "c = 2", "hypothesis not satisfied",
-            "hypothesis_unmet", "needs connected nontrivial factors",
-        )
-    return _full_search_row(
-        "strong_lex_c2", name, pg, "c", "c = 2",
-        lambda v: v == 2, lambda v: f"c={v}", config,
-    )
-
-
-def _lex_rows(
-    gi: FamilyInstance, hi: FamilyInstance, pg: Graph, name: str, config: SuiteConfig
-) -> list[TheoremCheck]:
-    rows = []
-    if _connected_nontrivial(gi.graph) and _connected_nontrivial(hi.graph):
-        evp, _ = has_edge_vertex_property(hi.graph)
-        big_diam = diameter(gi.graph) >= 2
-        expected = 3 if big_diam or evp else 2
-        why = (
-            f"diam(G) >= 2: {big_diam}, H edge-vertex property: {evp}"
-        )
-        rows.append(
-            _full_search_row(
-                "lex_e", pg.name, pg, "e", f"e = {expected} ({why})",
-                lambda v: v == expected, lambda v: f"e={v}", config,
-            )
-        )
-    else:
-        rows.append(
-            _row(
-                "lex_e", name, "e = 3 or 2 by case", "hypothesis not satisfied",
-                "hypothesis_unmet", "needs connected nontrivial factors",
-            )
-        )
-    rows.append(_c2_row(gi, hi, pg, name, config))
-    return rows
+        return _skip_all(theorems, pg.name, "product theorem", "budget is 0")
+    return _check_all(theorems, _Case(pg, gi, hi))
 
 
 # --- corpus ------------------------------------------------------------
@@ -568,12 +437,9 @@ def build_corpus(config: SuiteConfig) -> Corpus:
             try:
                 gadgets.append(build(a))
             except ReconstructionError as exc:
-                failures.append(
-                    _row(
-                        tid, f"{build.__name__}({a})", "valid reconstruction",
-                        "reconstruction discrepancy", "fail", str(exc),
-                    )
-                )
+                name = f"{build.__name__}({a})"
+                failures.append(TheoremCheck(tid, name, "valid reconstruction",
+                                             "reconstruction discrepancy", "fail", str(exc)))
     base = triangle_free_corpus() + complete_corpus() + random_corpus(
         config.seed, config.random_count
     )
@@ -608,36 +474,30 @@ def build_corpus(config: SuiteConfig) -> Corpus:
 # --- suite driver ------------------------------------------------------
 
 def _collect_tasks(config: SuiteConfig, corpus: Corpus) -> list[tuple]:
-    suites = set(config.suites)
+    """``(config, tag, payload)`` tuples of plain data, in ``SUITES`` order."""
+    by_suite = {
+        "universal": (
+            ("universal", corpus.universal_instances()),
+            ("family", [inst for inst in corpus.base if inst.predictions]),
+        ),
+        "blocks": (("family", corpus.blocks),),
+        "chordal": (("family", corpus.chordal),),
+        "gadgets": (("family", corpus.gadgets),),
+        "products": (("products", corpus.product_cases),),
+    }
 
-    def wanted(inst: FamilyInstance) -> bool:
-        return config.families is None or inst.family in config.families
+    def wanted(tag: str, payload) -> bool:
+        instances = payload[:2] if tag == "products" else (payload,)
+        return config.families is None or all(i.family in config.families for i in instances)
 
-    tasks: list[tuple] = []
-    if "universal" in suites:
-        for inst in corpus.universal_instances():
-            if wanted(inst):
-                tasks.append((config, "universal", inst))
-        for inst in corpus.base:
-            if inst.predictions and wanted(inst):
-                tasks.append((config, "family", inst))
-    if "blocks" in suites:
-        for inst in corpus.blocks:
-            if wanted(inst):
-                tasks.append((config, "family", inst))
-    if "chordal" in suites:
-        for inst in corpus.chordal:
-            if wanted(inst):
-                tasks.append((config, "family", inst))
-    if "gadgets" in suites:
-        for inst in corpus.gadgets:
-            if wanted(inst):
-                tasks.append((config, "family", inst))
-    if "products" in suites:
-        for gi, hi, kind in corpus.product_cases:
-            if wanted(gi) and wanted(hi):
-                tasks.append((config, "products", (gi, hi, kind)))
-    return tasks
+    return [
+        (config, tag, payload)
+        for suite in SUITES
+        if suite in config.suites
+        for tag, payloads in by_suite[suite]
+        for payload in payloads
+        if wanted(tag, payload)
+    ]
 
 
 def _execute_task(task: tuple) -> list[TheoremCheck]:
@@ -646,8 +506,7 @@ def _execute_task(task: tuple) -> list[TheoremCheck]:
         return verify_graph_universal(payload, config)
     if tag == "family":
         return verify_family(payload, config)
-    gi, hi, kind = payload
-    return verify_products(gi, hi, kind, config)
+    return verify_products(*payload, config)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
@@ -665,9 +524,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             results = list(pool.map(_execute_task, tasks))
     else:
         results = [_execute_task(t) for t in tasks]
-    checks: list[TheoremCheck] = list(corpus.failures)
-    for rows in results:
-        checks.extend(rows)
+    checks = [c for rows in (corpus.failures, *results) for c in rows]
     if config.theorems is not None:
         checks = [c for c in checks if c.theorem_id in config.theorems]
     counts = {"pass": 0, "fail": 0, "skipped": 0, "hypothesis_unmet": 0, "flagged": 0}

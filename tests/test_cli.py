@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from deltaconvex import graph_from_edges, graph_to_json, save_graph
 from deltaconvex.cli import _FAMILIES, main
 from deltaconvex.families import gadget_c, random_graph
+from deltaconvex.graphs import MAX_VERTICES
 
 
 def _write(tmp_path, name, g):
@@ -125,6 +126,23 @@ def test_non_object_family_parameters_are_usage_error(tmp_path, capsys):
     assert main(["generate", "path", "--params", "[3]", "-o", str(out)]) == 2
     assert "JSON object" in _single_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, write, argv",
+    [
+        ("g.json", lambda n: json.dumps({"n": n, "edges": []}), ["invariant", "--which", "c"]),
+        ("g.txt", lambda n: f"{n}\n", ["hull", "--set", "0"]),
+    ],
+    ids=["json", "text"],
+)
+def test_huge_vertex_count_is_usage_error(tmp_path, capsys, name, write, argv):
+    # edge-free files, so a wrongly accepted n is the only allocation
+    p = tmp_path / name
+    for n in (10**20, MAX_VERTICES + 1):
+        p.write_text(write(n))
+        assert main(argv + ["--graph", str(p)]) == 2
+        assert "vertex count" in _single_error_line(capsys)
 
 
 def test_product_command(tmp_path):

@@ -78,8 +78,22 @@ def test_product_checks_cartesian_lower_bounds():
     assert "witness size 5" in by["cart_e_lb"].observed
     assert by["cart_c_lb"].status == "pass"
     assert "witness size 9" in by["cart_c_lb"].observed
-    # the 25-vertex full search is over the cost limit, witness check still ran
+    # neither factor is a path, so the path equality does not apply
     assert by["cart_pn_e_eq"].status == "hypothesis_unmet"
+
+
+def test_product_search_over_cost_limit_is_skipped(monkeypatch):
+    # gc3 box P4 (20 vertices) meets the path equality's hypothesis, but its
+    # e-search would test 616,665 candidate subsets; only factors are searched
+    searched = []
+    for name in ("caratheodory_number", "exchange_number"):
+        search = getattr(verifier, name)
+        monkeypatch.setattr(verifier, name, lambda g, f=search: searched.append(g.n) or f(g))
+    rows = verify_products(gadget_c(3), path(4), "cartesian", SuiteConfig())
+    by = {r.theorem_id: r for r in rows}
+    assert by["cart_pn_e_eq"].status == "skipped"
+    assert by["cart_pn_e_eq"].reason == "search cost 616665 over limit 200000"
+    assert searched and 20 not in searched
 
 
 def test_product_checks_path_equalities():
