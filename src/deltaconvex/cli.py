@@ -27,7 +27,7 @@ from .families import (
     random_graph,
     two_connected_chordal,
 )
-from .graphs import GraphError, _is_int, graph_to_json, load_graph, save_graph
+from .graphs import MAX_VERTICES, GraphError, _is_int, graph_to_json, load_graph, save_graph
 from .hull import delta_hull, delta_hull_traced
 from .independence import (
     caratheodory_number,
@@ -87,18 +87,21 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     return 0
 
 
-# family -> (generator, parameter names, whether the seed is passed last)
+# family -> (generator, parameter names, whether the seed is passed last,
+# the vertex count the parameters give)
 _FAMILIES = {
-    "path": (path, ("n",), False),
-    "cycle": (cycle, ("n",), False),
-    "complete": (complete, ("n",), False),
-    "complete_bipartite": (complete_bipartite, ("m", "n"), False),
-    "block_chain": (block_chain, ("sizes",), False),
-    "block_tree": (block_tree, ("chains",), False),
-    "two_connected_chordal": (two_connected_chordal, ("n",), True),
-    "gadget_c": (gadget_c, ("n",), False),
-    "gadget_e": (gadget_e, ("k",), False),
-    "random": (random_graph, ("n", "p"), True),
+    "path": (path, ("n",), False, lambda n: n),
+    "cycle": (cycle, ("n",), False, lambda n: n),
+    "complete": (complete, ("n",), False, lambda n: n),
+    "complete_bipartite": (complete_bipartite, ("m", "n"), False, lambda m, n: m + n),
+    "block_chain": (block_chain, ("sizes",), False, lambda sizes: 1 + sum(s - 1 for s in sizes)),
+    "block_tree": (
+        block_tree, ("chains",), False, lambda chains: 1 + sum(s - 1 for c in chains for s in c)
+    ),
+    "two_connected_chordal": (two_connected_chordal, ("n",), True, lambda n: n),
+    "gadget_c": (gadget_c, ("n",), False, lambda n: 2 * n - 1),
+    "gadget_e": (gadget_e, ("k",), False, lambda k: 2 * k + 2),
+    "random": (random_graph, ("n", "p"), True, lambda n, p: n),
 }
 
 
@@ -119,7 +122,7 @@ def _build_family(family: str, params: object, seed: int) -> FamilyInstance:
         raise FamilyError(f"unknown family {family!r}")
     if not isinstance(params, dict):
         raise FamilyError("--params must be a JSON object")
-    generator, names, seeded = _FAMILIES[family]
+    generator, names, seeded, vertex_count = _FAMILIES[family]
     unknown = sorted(set(params) - set(names))
     if unknown:
         raise FamilyError(
@@ -133,6 +136,12 @@ def _build_family(family: str, params: object, seed: int) -> FamilyInstance:
         if not ok(params[name]):
             raise FamilyError(f"parameter {name!r} of family {family!r} must be {what}")
         args.append(params[name])
+    # Checked before the generator runs, which would allocate per vertex.
+    count = vertex_count(*args)
+    if count > MAX_VERTICES:
+        raise FamilyError(
+            f"family {family!r} would have vertex count {count}, over the limit of {MAX_VERTICES}"
+        )
     if seeded:
         args.append(seed)
     return generator(*args)

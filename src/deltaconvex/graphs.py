@@ -7,13 +7,26 @@ of vertex indices and return frozensets.
 
 Graphs are immutable after construction, so they are safe to share across
 parallel workers. Derived data that every hull and every search consults
-(the triangle list, all-pairs distances) is computed once and cached on
-the instance.
+(the triangle list, all-pairs distances, a sample of the automorphism
+group) is computed once and cached on the instance.
+
+``automorphisms`` finds the automorphism group by individualise-and-refine
+in the manner of McKay and Piperno, "Practical graph isomorphism II"
+(2014): an ordered vertex partition is refined to the coarsest equitable
+one, with a worklist of splitter cells, and a search tree individualises
+one vertex of the first non-singleton cell per level. Every leaf is a
+vertex ordering; a leaf whose ordering maps the first leaf's onto it
+edge for edge gives an automorphism. Refinement commutes with relabelling,
+so an automorphism maps the first leaf's path onto a path of the tree
+with the same refinement trace at every level; a node whose trace differs
+from the first path's at its level is cut, and every automorphism is
+still met.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -22,6 +35,10 @@ INF = float("inf")
 # The most vertices a graph file may declare: files come from outside the
 # program, and a ``Graph`` allocates per vertex.
 MAX_VERTICES = 1 << 20
+# The most automorphisms a graph keeps for its searches (``Graph.symmetries``).
+# Any subset of the group keeps the searches' symmetry cut sound, and the
+# group can be huge (K7 alone has 5,040).
+SYMMETRY_LIMIT = 256
 
 
 class GraphError(ValueError):
@@ -124,6 +141,12 @@ class Graph:
         return m
 
     @cached_property
+    def symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """Up to ``SYMMETRY_LIMIT`` non-identity automorphisms, found once
+        and shared by every search of this graph."""
+        return automorphisms(self, SYMMETRY_LIMIT)
+
+    @cached_property
     def _distances(self) -> tuple[tuple[int | float, ...], ...]:
         rows = []
         for s in range(self.n):
@@ -154,6 +177,171 @@ class Graph:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Graph{label} n={self.n} m={len(self.edges)}>"
+
+
+class _Partition:
+    """Ordered partition of the vertices. Each cell is a run of ``lab`` and
+    is named by its first position, which splitting never moves: ``cell[v]``
+    is the start of v's cell, ``pos[v]`` is v's index in ``lab``, and
+    ``size[s]`` is the length of the cell starting at s."""
+
+    __slots__ = ("lab", "pos", "cell", "size")
+
+    def __init__(self, lab: list[int], pos: list[int], cell: list[int], size: list[int]):
+        self.lab, self.pos, self.cell, self.size = lab, pos, cell, size
+
+    def copy(self) -> "_Partition":
+        return _Partition(self.lab[:], self.pos[:], self.cell[:], self.size[:])
+
+    def first_open_cell(self, start: int) -> int | None:
+        """Start of the first cell at or after ``start`` with two or more
+        vertices, or None when every one is a singleton."""
+        size, n = self.size, len(self.lab)
+        while start < n:
+            if size[start] > 1:
+                return start
+            start += 1
+        return None
+
+    def individualise(self, s: int, v: int) -> None:
+        """Split v off the front of the cell starting at s."""
+        lab, pos = self.lab, self.pos
+        u, pv = lab[s], pos[v]
+        lab[s], lab[pv] = v, u
+        pos[v], pos[u] = s, pv
+        self.size[s + 1] = self.size[s] - 1
+        self.size[s] = 1
+        for w in lab[s + 1 : s + 1 + self.size[s + 1]]:
+            self.cell[w] = s + 1
+
+
+def _refine(adj: tuple[int, ...], p: _Partition, splitters: list[int], trace: list) -> None:
+    """Refine ``p`` to the coarsest equitable partition finer than it, given
+    that only the cells starting at ``splitters`` may split others.
+
+    A splitter cell W splits every cell by the number of neighbours each
+    vertex has in W; only cells with a neighbour of W are examined. The
+    pieces of a cell are ordered by that count, and when the split cell was
+    not itself waiting to split others, all pieces but its first largest
+    join the worklist (Hopcroft's rule). ``trace`` receives (start, count)
+    for every piece made, in an order that commutes with relabelling.
+    """
+    lab, pos, cell, size = p.lab, p.pos, p.cell, p.size
+    queue = deque(splitters)
+    waiting = set(splitters)
+    while queue:
+        w = queue.popleft()
+        waiting.discard(w)
+        wmask = touched = 0
+        for v in lab[w : w + size[w]]:
+            wmask |= 1 << v
+            touched |= adj[v]
+        hits: dict[int, list[tuple[int, int]]] = {}
+        for v in iter_bits(touched):
+            hits.setdefault(cell[v], []).append(((adj[v] & wmask).bit_count(), v))
+        for s in sorted(hits):
+            members = hits[s]
+            width = size[s]
+            members.sort()
+            if width == len(members) and members[0][0] == members[-1][0]:
+                continue
+            # The untouched vertices (count 0) stay at the front of the cell;
+            # the touched ones move to its back, in count order.
+            end = s + width
+            back = end - len(members)
+            j = end
+            for _, v in members:
+                j -= 1
+                u, pv = lab[j], pos[v]
+                lab[j], lab[pv] = v, u
+                pos[v], pos[u] = j, pv
+            pieces = [(s, 0)] if back > s else []
+            for j, (count, v) in enumerate(members, back):
+                lab[j] = v
+                pos[v] = j
+                if not pieces or pieces[-1][1] != count:
+                    pieces.append((j, count))
+            bounds = [start for start, _ in pieces[1:]] + [end]
+            largest = s
+            for (start, count), stop in zip(pieces, bounds):
+                size[start] = stop - start
+                if size[start] > size[largest]:
+                    largest = start
+                if start != s:
+                    for v in lab[start:stop]:
+                        cell[v] = start
+                trace.append((start, count))
+            skip = s if s in waiting else largest
+            for start, _ in pieces:
+                if start != skip:
+                    waiting.add(start)
+                    queue.append(start)
+
+
+def _is_automorphism(adj: tuple[int, ...], image: list[int]) -> bool:
+    bits = [1 << v for v in image]
+    for u, nbrs in enumerate(adj):
+        moved = 0
+        for w in iter_bits(nbrs):
+            moved |= bits[w]
+        if moved != adj[image[u]]:
+            return False
+    return True
+
+
+def automorphisms(g: Graph, limit: int) -> tuple[tuple[int, ...], ...]:
+    """Up to ``limit`` non-identity automorphisms of ``g``, each as the
+    tuple of vertex images, by individualise-and-refine (module docstring).
+
+    The tree is searched depth first with an explicit stack, each level
+    trying the vertices of its cell from the highest down, so the maps found
+    first fix the high vertices and move the low ones. The search stops at
+    ``limit`` maps; with fewer, the group is complete. Every map returned is
+    checked edge for edge.
+    """
+    n = g.n
+    if n < 2 or limit < 1:
+        return ()
+    adj = g.adj
+    root = _Partition(list(range(n)), list(range(n)), [0] * n, [n] + [0] * (n - 1))
+    _refine(adj, root, [0], [])
+    s = root.first_open_cell(0)
+    if s is None:
+        return ()
+    first_leaf: list[int] | None = None
+    first_traces: list[list] = []
+    found: list[tuple[int, ...]] = []
+    # Each entry: a node's partition, its target cell and the vertices of
+    # that cell still to individualise (the highest is tried first).
+    stack = [(root, s, sorted(root.lab[s : s + root.size[s]]))]
+    while stack:
+        node, s, todo = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        child = node.copy()
+        child.individualise(s, todo.pop())
+        trace: list = []
+        _refine(adj, child, [s], trace)
+        depth = len(stack)
+        if first_leaf is None:
+            first_traces.append(trace)
+        elif trace != first_traces[depth - 1]:
+            continue
+        t = child.first_open_cell(s)
+        if t is not None:
+            stack.append((child, t, sorted(child.lab[t : t + child.size[t]])))
+        elif first_leaf is None:
+            first_leaf = child.lab
+        else:
+            image = [0] * n
+            for a, b in zip(first_leaf, child.lab):
+                image[a] = b
+            if _is_automorphism(adj, image):
+                found.append(tuple(image))
+                if len(found) == limit:
+                    break
+    return tuple(found)
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:

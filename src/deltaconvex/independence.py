@@ -38,7 +38,33 @@ by one vertex; hull(S) itself is the child's leave-one-out hull for x.
 A node made only to be expanded gets its hulls when a descendant is first
 tested, so a subtree the cuts empty costs none; a node that will not be
 expanded computes them one at a time, so a kernel that settles
-dependence early skips the rest.
+dependence early skips the rest. Only the nodes within ``_KEEP_LEVELS``
+of the deepest one keep their hulls; a node the search returns to below
+that rebuilds them, so memory grows linearly with the depth and not as
+its square.
+
+Symmetry cut (lex-leader symmetry breaking, Crawford, Ginsberg, Luks and
+Roy, KR 1996). An automorphism maps independent sets to independent sets
+of the same size, because hulls commute with relabelling. So the first
+independent set of each size in ``combinations`` order is the least of
+its orbit. Each node P also carries its image under each automorphism
+sigma in a sample of the group (``Graph.symmetries``). After the monotone
+cuts, a child B = P + x is cut when some sigma(B) comes before B in
+``combinations`` order, that is, when the first vertex y where they
+differ lies in sigma(B). As B lies at or below x and sigma(B) is as large
+as B, y <= x: restricting sigma(B) to the vertices <= x, as the lex-leader
+test does, changes nothing. Every set S in the subtree extends B by
+vertices above x only, so below y sigma(S) holds all of S, and it holds
+y, which S does not: sigma(S) comes before S, and S is not the first of
+its size. This holds for any set of automorphisms, so a capped sample is
+sound, and it is no theorem of the paper, so the verifier may check every
+theorem with these searches. The images are kept in reversed bit order
+(vertex v at bit n - 1 - v), where a set comes before another of its size
+exactly when its mask is the larger integer, so the test is one ``max``.
+Most searches are small, so a search fetches the group only after
+``_SYMMETRY_AFTER`` nodes; the frames already on the stack compute their
+images when they next make a child. Results never depend on whether or
+when the cut is active.
 
 The ``naive_*`` variants bypass every filter, cap, cut and incremental
 hull: they enumerate ``combinations`` and close every leave-one-out set
@@ -50,7 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, iter_bits, lowest_bit, set_from_mask, vertex_mask
 from .hull import extend_hull, hull_mask
@@ -58,6 +84,14 @@ from .hull import extend_hull, hull_mask
 CARATHEODORY = "caratheodory"
 EXCHANGE = "exchange"
 HELLY = "helly"
+
+# A search fetches its graph's automorphisms for the symmetry cut only
+# after making this many nodes, so the many small searches never pay for
+# the group.
+_SYMMETRY_AFTER = 1000
+# A frame this many levels below the top of the stack drops its hulls and
+# images: a deep search keeps memory linear in its depth.
+_KEEP_LEVELS = 32
 
 
 @dataclass(frozen=True)
@@ -198,7 +232,12 @@ def _cap(hard_cap: int, max_size: int | None) -> tuple[int, bool]:
 
 
 def _lex_search(
-    g: Graph, kind: str, candidates: list[int], lo: int, cap: int
+    g: Graph,
+    kind: str,
+    candidates: list[int],
+    lo: int,
+    cap: int,
+    group: Sequence[Sequence[int]] | None = None,
 ) -> dict[int, int]:
     """Mask of the lexicographically first independent set of each size in
     lo..cap that has one, over subsets of ``candidates`` (ascending).
@@ -206,9 +245,15 @@ def _lex_search(
     Depth-first over prefixes, children in ascending order, so the sets of
     one size are met in ``combinations`` order. The frame of a set of size
     s sits at stack depth s and holds the set, its hull, its leave-one-out
-    hulls, its next candidate position and whether it has an internal
-    edge. A frame made only to be expanded gets its hulls when a
-    descendant is first tested (``_fill_hulls``).
+    hulls, its next candidate position, whether it has an internal edge,
+    and its images under the symmetry cut's maps. A frame made only to be
+    expanded gets its hulls when a descendant is first tested
+    (``_fill_hulls``).
+
+    The symmetry cut uses the automorphisms in ``group``, from the first
+    node on; by default it fetches ``g.symmetries`` after
+    ``_SYMMETRY_AFTER`` nodes. ``group=()`` turns it off. The result is the
+    same either way.
     """
     adj = g.adj
     pairs = g.triangle_pairs
@@ -220,10 +265,14 @@ def _lex_search(
     # ``never``, a size too large to reach.
     never = cap + ncand + 1
     next_open = [max(s, lo) if max(s, lo) <= cap else never for s in range(cap + 2)]
-    stack: list[list] = [[0, 0, [], 0, False]]
+    if group is None:
+        rbits, countdown = None, _SYMMETRY_AFTER
+    else:
+        rbits, countdown = _reversed_bits(g.n, group), 0
+    stack: list[list] = [[0, 0, [], 0, False, None]]
     while stack:
         frame = stack[-1]
-        smask, hull_s, subs, i, edge = frame
+        smask, hull_s, subs, i, edge, images = frame
         size = len(stack)
         # Open-size rule: make a child only while some open size at or
         # above its own can still be reached from it.
@@ -241,15 +290,27 @@ def _lex_search(
                 continue
             if bit & off_triangle and smask & off_triangle:
                 continue
+        if countdown:
+            countdown -= 1
+            if not countdown:
+                rbits = _reversed_bits(g.n, g.symmetries)
+        if rbits:
+            # Symmetry cut: the child's images in reversed bit order, the
+            # identity's first. A larger image comes first.
+            if images is None:
+                images = frame[5] = _images(rbits, smask)
+            images = [im | b for im, b in zip(images, rbits[x])]
+            if max(images) > images[0]:
+                continue
         edge = edge or nb != 0
         evaluate = target == size and (helly or edge)
         expand = next_open[size + 1] - size < ncand - i
         if not evaluate:
-            if expand and not helly:
-                # Untested: its hulls wait until a descendant is tested.
-                stack.append([smask | bit, None, None, i + 1, edge])
-                continue
             if not expand:
+                continue
+            if not helly:
+                # Untested: its hulls wait until a descendant is tested.
+                _push(stack, [smask | bit, None, None, i + 1, edge, images])
                 continue
         if hull_s is None:
             _fill_hulls(g, stack)
@@ -276,16 +337,49 @@ def _lex_search(
             # Helly independence is hereditary: cut the subtree.
             continue
         if expand:
-            stack.append([smask | bit, child_hull, loo, i + 1, edge])
+            _push(stack, [smask | bit, child_hull, loo, i + 1, edge, images])
     return found
 
 
+def _reversed_bits(n: int, group: Sequence[Sequence[int]]) -> list[tuple[int, ...]] | None:
+    """Per vertex x, the bit of x's image in reversed order (vertex v at
+    bit n - 1 - v) under the identity and under each map of ``group``;
+    None for an empty group."""
+    if not group:
+        return None
+    bits = [1 << (n - 1 - v) for v in range(n)]
+    return [tuple(map(bits.__getitem__, col)) for col in zip(range(n), *group)]
+
+
+def _images(rbits: list[tuple[int, ...]], smask: int) -> list[int]:
+    """The images of the set ``smask`` in reversed bit order, one per map."""
+    images = [0] * len(rbits[0])
+    for a in iter_bits(smask):
+        images = [im | b for im, b in zip(images, rbits[a])]
+    return images
+
+
+def _push(stack: list[list], child: list) -> None:
+    """Push ``child``; the frame that falls ``_KEEP_LEVELS`` below the top
+    drops its hulls and images, to be rebuilt if the search returns to it."""
+    stack.append(child)
+    if len(stack) > _KEEP_LEVELS + 1:
+        old = stack[-_KEEP_LEVELS - 1]
+        old[1] = old[2] = old[5] = None
+
+
 def _fill_hulls(g: Graph, stack: list[list]) -> None:
-    """Give every frame still without hulls its hull and leave-one-out
-    hulls, top-down from the deepest frame that has them."""
-    k = len(stack) - 1
-    while stack[k][1] is None:
+    """Give the top frame its hull and leave-one-out hulls: grown frame by
+    frame from the deepest frame at most ``_KEEP_LEVELS`` below that has
+    them, or else closed from scratch."""
+    k = top = len(stack) - 1
+    while stack[k][1] is None and k > top - _KEEP_LEVELS:
         k -= 1
+    if stack[k][1] is None:
+        k = top
+        smask = stack[k][0]
+        stack[k][1] = hull_mask(g, smask)
+        stack[k][2] = list(_loo_hulls(g, smask, iter_bits(smask)))
     for parent, frame in zip(stack[k:], stack[k + 1:]):
         x = frame[0].bit_length() - 1
         frame[1] = extend_hull(g, parent[1], x)

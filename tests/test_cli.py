@@ -145,6 +145,31 @@ def test_huge_vertex_count_is_usage_error(tmp_path, capsys, name, write, argv):
         assert "vertex count" in _single_error_line(capsys)
 
 
+# family -> --params giving a graph of at least ``n`` vertices
+_SIZED_PARAMS = {
+    "path": lambda n: {"n": n},
+    "cycle": lambda n: {"n": n},
+    "complete": lambda n: {"n": n},
+    "complete_bipartite": lambda n: {"m": n, "n": 1},
+    "block_chain": lambda n: {"sizes": [n, 3]},
+    "block_tree": lambda n: {"chains": [[3], [n]]},
+    "two_connected_chordal": lambda n: {"n": n},
+    "gadget_c": lambda n: {"n": n},
+    "gadget_e": lambda n: {"k": n},
+    "random": lambda n: {"n": n, "p": 0.5},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_huge_family_is_usage_error(tmp_path, capsys, family):
+    out = tmp_path / "f.json"
+    for n in (10**20, MAX_VERTICES + 1):
+        params = json.dumps(_SIZED_PARAMS[family](n))
+        assert main(["generate", family, "--params", params, "-o", str(out)]) == 2
+        assert "vertex count" in _single_error_line(capsys)
+        assert not out.exists()
+
+
 def test_product_command(tmp_path):
     a = _write(tmp_path, "a.json", graph_from_edges(2, [(0, 1)], name="P2"))
     b = _write(tmp_path, "b.json", graph_from_edges(2, [(0, 1)], name="Q2"))
@@ -267,21 +292,26 @@ _VALUES = st.one_of(
     st.integers(-20, 12).map(str),
     st.text(max_size=6),
 )
+_KINDS = st.sampled_from(["cartesian", "strong", "lex", "lexicographic", "box", "tensor", ""])
+_SUITES = st.sampled_from(["all", "universal", "blocks", "chordal", "gadgets", "products", "bogus", ""])
 _OPTIONS = st.sampled_from([
     "--graph", "--set", "--trace", "--which", "--max-size", "--naive",
-    "--params", "--seed", "-o", "--output", "--bogus",
+    "--params", "--seed", "-o", "--output", "--kind", "--suite", "--budget",
+    "--jobs", "--report", "--bogus",
 ])
 
 
 @st.composite
 def _argv(draw, root):
-    command = draw(st.sampled_from(["hull", "invariant", "generate"]))
+    command = draw(st.sampled_from(["hull", "invariant", "generate", "product", "verify"]))
     files = st.sampled_from(
         [str(root / name) for name in _GRAPH_FILES] + [str(root / "missing.json"), str(root)]
     )
     noise = st.lists(st.one_of(_OPTIONS, _VALUES, files), max_size=8)
     graphs = st.sampled_from([str(root / name) for name in _VALID_GRAPHS]) | files
-    if draw(st.booleans()):
+    # Noise alone could make a full default verify run; verify always gets
+    # a budget of at most 3 and a single job instead.
+    if command != "verify" and draw(st.booleans()):
         return [command] + draw(noise)
     # The required options with plausible values, so the commands' own
     # validation runs and not only argparse's.
@@ -293,9 +323,17 @@ def _argv(draw, root):
     elif command == "hull":
         head = ["--graph", draw(graphs), "--set", draw(_SETS)]
         optional = [["--trace"]]
-    else:
+    elif command == "invariant":
         head = ["--graph", draw(graphs), "--which", draw(st.sampled_from("ceh"))]
         optional = [["--naive"], ["--max-size", number]]
+    elif command == "product":
+        head = ["--kind", draw(_KINDS), draw(graphs), draw(graphs), "-o", str(root / "prod.json")]
+        optional = [[draw(graphs)]]
+    else:
+        budget = draw(st.integers(0, 3).map(str) | st.sampled_from(["-1", "x", ""]))
+        head = ["--suite", draw(_SUITES), "--budget", budget]
+        optional = [["--jobs", draw(st.integers(-2, 1).map(str) | st.just("x"))],
+                    ["--seed", number], ["--report", str(root / "report.jsonl")]]
     for tokens in optional:
         if draw(st.booleans()):
             head += tokens
@@ -316,5 +354,6 @@ def test_cli_fuzz_exits_cleanly(fuzz_dir, data):
         code = exc.code
     finally:
         os.chdir(cwd)
-    assert code in (0, 2), (argv, err.getvalue())
+    # Only verify may report failed checks (exit 1).
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv

@@ -19,8 +19,9 @@ from deltaconvex import (
     is_two_connected,
     triangles,
 )
-from deltaconvex.families import block_chain, complete, cycle, path
-from deltaconvex.graphs import graph_from_text
+from deltaconvex.families import block_chain, complete, cycle, gadget_c, path
+from deltaconvex.graphs import SYMMETRY_LIMIT, automorphisms, graph_from_text
+from deltaconvex.products import product
 from conftest import random_graph_raw
 
 K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -211,3 +212,49 @@ def test_text_format():
         graph_from_text("")
     with pytest.raises(GraphError):
         graph_from_text("3\n0 x\n")
+
+
+def _preserves_edges(g, image):
+    return sorted(tuple(sorted((image[u], image[v]))) for u, v in g.edges) == list(g.edges)
+
+
+def test_automorphisms_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        g = random_graph_raw(rng, rng.randint(1, 8), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        maps = automorphisms(g, SYMMETRY_LIMIT)
+        if len(maps) == SYMMETRY_LIMIT:
+            continue  # capped: only a subset of the group
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        expected = {
+            tuple(m[v] for v in range(g.n))
+            for m in nx.algorithms.isomorphism.GraphMatcher(ng, ng).isomorphisms_iter()
+        }
+        assert len(set(maps)) == len(maps)
+        assert set(maps) | {tuple(range(g.n))} == expected
+        checked += 1
+    assert checked > 300
+
+
+def test_automorphism_groups_of_products():
+    gc3 = gadget_c(3).graph
+    for h, order in ((path(4).graph, 16), (gc3, 128)):
+        g = product(gc3, h, "cartesian").graph
+        maps = automorphisms(g, SYMMETRY_LIMIT)
+        assert len(maps) + 1 == order
+        assert all(_preserves_edges(g, m) for m in maps)
+        assert tuple(range(g.n)) not in maps
+        assert g.symmetries == maps
+
+
+def test_automorphisms_are_capped_and_checked():
+    for g in (complete(7).graph, Graph(9, []), cycle(40).graph):
+        maps = automorphisms(g, 50)
+        assert len(maps) == 50 == len(set(maps))
+        assert all(_preserves_edges(g, m) for m in maps)
+    assert automorphisms(K4, 0) == () and automorphisms(Graph(1, []), 10) == ()
+    assert automorphisms(path(1100).graph, SYMMETRY_LIMIT) == (tuple(range(1099, -1, -1)),)

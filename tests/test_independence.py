@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 import oracles
+from deltaconvex import independence
 from deltaconvex import (
     GraphError,
     cara_property_iii_violations,
@@ -29,6 +31,7 @@ from deltaconvex.families import (
     gadget_e,
     path,
 )
+from deltaconvex.products import product
 from conftest import random_graph_raw
 
 K3 = complete(3).graph
@@ -206,6 +209,47 @@ def test_helly_early_stop_is_exhaustive():
 def test_helly_search_is_not_limited_by_recursion_depth():
     res = helly_number(path(1100).graph)
     assert res.value == 1100 and res.exhaustive
+
+
+def test_helly_search_memory_is_linear_in_depth():
+    # Keeping every level's leave-one-out hulls took about 77 MB here.
+    g = path(1100).graph
+    g.triangle_pairs
+    tracemalloc.start()
+    try:
+        res = helly_number(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value == 1100
+    assert peak < 40 * 2**20
+
+
+def test_only_long_searches_fetch_the_symmetry_group():
+    small = product(gadget_c(3).graph, path(2).graph, "cartesian").graph
+    exchange_number(small)
+    assert "symmetries" not in vars(small)
+    large = product(gadget_c(3).graph, path(3).graph, "cartesian").graph
+    res = exchange_number(large)
+    assert len(vars(large)["symmetries"]) == 15
+    assert (res.value, sorted(res.extremal_set)) == (4, [0, 1, 3, 6])
+
+
+def test_symmetry_cut_removes_nodes(monkeypatch):
+    # Counted hull extensions, a deterministic stand-in for search time.
+    g = product(gadget_c(3).graph, path(3).graph, "cartesian").graph
+    real = independence.extend_hull
+    calls = []
+    monkeypatch.setattr(
+        independence, "extend_hull", lambda g, h, v: calls.append(v) or real(g, h, v)
+    )
+    cost = {}
+    for label, group in (("none", ()), ("cut", g.symmetries)):
+        calls.clear()
+        found = independence._lex_search(g, independence.EXCHANGE, list(range(g.n)), 3, 6, group)
+        cost[label] = len(calls)
+        assert found == {3: 0b1011, 4: 0b1001011}
+    assert cost["cut"] * 3 < cost["none"]
 
 
 def test_extremal_set_is_first_in_enumeration_order():

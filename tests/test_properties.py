@@ -17,8 +17,12 @@ from deltaconvex import (
     naive_exchange_number,
     naive_helly_number,
 )
-from deltaconvex.graphs import vertex_mask
+from deltaconvex.graphs import iter_bits, vertex_mask
 from deltaconvex.hull import extend_hull, hull_mask, interval_mask
+from deltaconvex import independence
+from deltaconvex.families import gadget_c, path
+from deltaconvex.independence import CARATHEODORY, EXCHANGE, HELLY, _lex_search
+from deltaconvex.products import product
 
 
 @st.composite
@@ -163,3 +167,74 @@ def test_helly_early_stop_matches_full_scan(g):
     full = naive_helly_number(g)
     assert early.value == full.value
     assert early.extremal_set == full.extremal_set
+
+
+def _relabelled(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=10):
+    g = draw(graphs(max_n))
+    return _relabelled(g, draw(st.permutations(range(g.n))))
+
+
+@st.composite
+def small_products(draw):
+    left = draw(graphs(max_n=4))
+    right = draw(graphs(max_n=3))
+    kind = draw(st.sampled_from(["cartesian", "strong", "lexicographic"]))
+    g = product(left, right, kind).graph
+    return _relabelled(g, draw(st.permutations(range(g.n))))
+
+
+def _search_setups(g):
+    """(kind, candidates, least size) of each pruned search of ``g``."""
+    everything = list(range(g.n))
+    return (
+        (CARATHEODORY, list(iter_bits(g.triangle_vertex_mask)), 2),
+        (EXCHANGE, everything, 3),
+        (HELLY, everything, 1),
+    )
+
+
+def _assert_symmetry_cut_keeps_results(g):
+    """The searches with the symmetry group from the first node and with no
+    group find the same sets, at every size cap."""
+    for kind, candidates, lo in _search_setups(g):
+        for cap in range(1, len(candidates) + 1):
+            cut = _lex_search(g, kind, candidates, lo, cap, group=g.symmetries)
+            assert cut == _lex_search(g, kind, candidates, lo, cap, group=()), (kind, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_graphs())
+def test_symmetry_cut_keeps_results_on_random_graphs(g):
+    _assert_symmetry_cut_keeps_results(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_products())
+def test_symmetry_cut_keeps_results_on_products(g):
+    _assert_symmetry_cut_keeps_results(g)
+
+
+def test_frames_below_the_window_rebuild_their_state(monkeypatch):
+    # With one level kept, every return to a frame rebuilds its hulls and
+    # symmetry images; the sets found must not change.
+    rng = random.Random(4)
+    graphs = [
+        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        for n in (5, 6, 7, 8, 9, 10, 10)
+    ]
+    graphs.append(product(gadget_c(3).graph, path(2).graph, "cartesian").graph)
+    cases = [
+        (g, kind, candidates, lo, group)
+        for g in graphs
+        for kind, candidates, lo in _search_setups(g)
+        for group in ((), g.symmetries)
+    ]
+    expected = [_lex_search(g, k, c, lo, len(c), grp) for g, k, c, lo, grp in cases]
+    monkeypatch.setattr(independence, "_KEEP_LEVELS", 1)
+    for (g, kind, candidates, lo, group), want in zip(cases, expected):
+        assert _lex_search(g, kind, candidates, lo, len(candidates), group) == want
