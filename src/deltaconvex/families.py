@@ -16,6 +16,7 @@ ReconstructionError instead of silently producing a wrong gadget.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -228,10 +229,10 @@ def two_connected_chordal(n: int, seed: int) -> FamilyInstance:
     if n < 3:
         raise FamilyError(f"two_connected_chordal needs n >= 3, got {n}")
     rng = random.Random(seed)
-    edges = {(0, 1), (0, 2), (1, 2)}
+    edges = [(0, 1), (0, 2), (1, 2)]  # kept sorted for rng.choice
     adj: list[set[int]] = [{1, 2}, {0, 2}, {0, 1}]
     for v in range(3, n):
-        u, w = rng.choice(sorted(edges))
+        u, w = rng.choice(edges)
         clique = [u, w]
         common = adj[u] & adj[w]
         while common and rng.random() < 0.5:
@@ -240,10 +241,10 @@ def two_connected_chordal(n: int, seed: int) -> FamilyInstance:
             common &= adj[x]
         adj.append(set())
         for u2 in clique:
-            edges.add((u2, v))
+            bisect.insort(edges, (u2, v))
             adj[u2].add(v)
             adj[v].add(u2)
-    g = Graph(n, sorted(edges), name=f"chordal(n={n},seed={seed})")
+    g = Graph(n, edges, name=f"chordal(n={n},seed={seed})")
     if not (is_chordal(g) and is_two_connected(g)):
         raise FamilyError(f"{g.name} is not a 2-connected chordal graph")
     preds = {

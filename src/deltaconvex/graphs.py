@@ -382,27 +382,12 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_two_connected(g: Graph) -> bool:
-    """No cut vertex; a graph on fewer than 3 vertices qualifies iff it is K2."""
-    n = g.n
-    if n < 2:
-        return False
-    if n == 2:
-        return g.has_edge(0, 1)
-    if not is_connected(g):
-        return False
-    for v in range(n):
-        rest = g.full_mask & ~(1 << v)
-        start = 1 if v == 0 else 0
-        seen = frontier = 1 << start
-        while frontier:
-            reach = 0
-            for w in iter_bits(frontier):
-                reach |= g.adj[w]
-            frontier = reach & rest & ~seen
-            seen |= frontier
-        if seen != rest:
-            return False
-    return True
+    """No cut vertex, read from the block decomposition: a connected graph
+    on 3 or more vertices with one block. A graph on fewer than 3 vertices
+    qualifies iff it is K2."""
+    if g.n < 3:
+        return g.n == 2 and g.has_edge(0, 1)
+    return is_connected(g) and len(block_decomposition(g).blocks) == 1
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Corpus runner: check every theorem's prediction against brute force.
 
-Builds a deterministic corpus of family instances from a seed, computes
-invariants exhaustively where the budget allows, and emits one
+``SuiteConfig`` holds the four settings of ``deltaconvex verify``: seed,
+budget, suites and jobs. The corpus is fixed apart from the seed, which
+draws its 30 random graphs and 10 two-connected chordal graphs. The runner
+computes invariants exhaustively where the budget allows and emits one
 machine-readable record per (graph, theorem) pair. Records are
 line-delimited JSON with stable field order followed by a summary object,
 so identical configurations produce byte-identical reports regardless of
@@ -89,20 +91,17 @@ class TheoremCheck:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Corpus and budget knobs; identical configs give identical reports.
+    """The four ``verify`` settings; identical configs give identical reports.
 
-    ``families`` restricts corpus instances by family tag and ``theorems``
-    restricts the emitted records by theorem id; None means no filter.
+    ``seed`` picks the corpus's 30 random and 10 chordal graphs, ``budget``
+    bounds the exhaustive searches, ``suites`` selects from ``SUITES`` and
+    ``jobs`` is the worker count, which never changes the report.
     """
 
     seed: int = 0
     budget: int = 12
     suites: tuple[str, ...] = SUITES
     jobs: int = 1
-    random_count: int = 30
-    chordal_count: int = 10
-    families: tuple[str, ...] | None = None
-    theorems: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -426,7 +425,7 @@ def chordal_corpus(seed: int, count: int) -> list[FamilyInstance]:
     ]
 
 
-def build_corpus(config: SuiteConfig) -> Corpus:
+def build_corpus(seed: int) -> Corpus:
     failures: list[TheoremCheck] = []
     gadgets: list[FamilyInstance] = []
     for tid, build, args in (
@@ -440,11 +439,9 @@ def build_corpus(config: SuiteConfig) -> Corpus:
                 name = f"{build.__name__}({a})"
                 failures.append(TheoremCheck(tid, name, "valid reconstruction",
                                              "reconstruction discrepancy", "fail", str(exc)))
-    base = triangle_free_corpus() + complete_corpus() + random_corpus(
-        config.seed, config.random_count
-    )
+    base = triangle_free_corpus() + complete_corpus() + random_corpus(seed, 30)
     blocks = block_corpus()
-    chordal = chordal_corpus(config.seed, config.chordal_count)
+    chordal = chordal_corpus(seed, 10)
     by_name = {inst.name: inst for inst in gadgets}
     gc3 = by_name.get("gadget_c(3)")
     gc4 = by_name.get("gadget_c(4)")
@@ -485,18 +482,12 @@ def _collect_tasks(config: SuiteConfig, corpus: Corpus) -> list[tuple]:
         "gadgets": (("family", corpus.gadgets),),
         "products": (("products", corpus.product_cases),),
     }
-
-    def wanted(tag: str, payload) -> bool:
-        instances = payload[:2] if tag == "products" else (payload,)
-        return config.families is None or all(i.family in config.families for i in instances)
-
     return [
         (config, tag, payload)
         for suite in SUITES
         if suite in config.suites
         for tag, payloads in by_suite[suite]
         for payload in payloads
-        if wanted(tag, payload)
     ]
 
 
@@ -515,7 +506,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             raise ValueError(f"unknown suite {s!r}; use subsets of {SUITES}")
     if config.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
-    corpus = build_corpus(config)
+    corpus = build_corpus(config.seed)
     tasks = _collect_tasks(config, corpus)
     # The pool starts all its workers at once; no more than there are tasks.
     workers = min(config.jobs, len(tasks))
@@ -525,8 +516,6 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     else:
         results = [_execute_task(t) for t in tasks]
     checks = [c for rows in (corpus.failures, *results) for c in rows]
-    if config.theorems is not None:
-        checks = [c for c in checks if c.theorem_id in config.theorems]
     counts = {"pass": 0, "fail": 0, "skipped": 0, "hypothesis_unmet": 0, "flagged": 0}
     for c in checks:
         counts[c.status] += 1

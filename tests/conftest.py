@@ -23,9 +23,9 @@ def random_subset(rng: random.Random, n: int) -> list[int]:
 @pytest.fixture(scope="session")
 def small_corpus():
     """Corpus graphs with at most 8 vertices, as (name, Graph) pairs."""
-    from deltaconvex.verifier import SuiteConfig, build_corpus
+    from deltaconvex.verifier import build_corpus
 
-    corpus = build_corpus(SuiteConfig())
+    corpus = build_corpus(0)
     out = []
     for inst in corpus.universal_instances():
         if inst.graph.n <= 8:

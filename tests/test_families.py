@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 import oracles
 from deltaconvex import (
     delta_hull,
+    graph_to_json,
     is_block_graph,
     is_chordal,
     is_connected,
@@ -113,6 +116,23 @@ def test_two_connected_chordal():
     assert two_connected_chordal(3, 0).graph.n == 3
     # regeneration is deterministic
     assert two_connected_chordal(9, 5).graph == two_connected_chordal(9, 5).graph
+
+
+def _chordal_digest(cases) -> str:
+    h = hashlib.sha256()
+    for n, seed in cases:
+        h.update(graph_to_json(two_connected_chordal(n, seed).graph).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_two_connected_chordal_graphs_are_pinned():
+    # recorded digests of the generated graphs, large and small
+    assert _chordal_digest((400, s) for s in range(6)) == (
+        "5a478adcff7ea3f318e37b92d2608464051155b07c574c650c5edb4e68999863"
+    )
+    assert _chordal_digest((n, s) for n in range(3, 41) for s in range(50)) == (
+        "4f2bd5c292ea4992e531c9b41ddfe6a592d1d5852e5e2db6fc6b095bfbc88732"
+    )
 
 
 def test_gadget_c_structure():

@@ -240,6 +240,44 @@ def test_automorphisms_match_networkx():
     assert checked > 300
 
 
+def test_blocks_chordality_and_products_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5)
+
+    def to_nx(g):
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        return ng
+
+    nx_products = {
+        "cartesian": nx.cartesian_product,
+        "strong": nx.strong_product,
+        "lexicographic": nx.lexicographic_product,
+    }
+    disconnected = 0
+    for _ in range(300):
+        g = random_graph_raw(rng, rng.randint(1, 9), rng.choice([0.15, 0.3, 0.5, 0.8]))
+        ng = to_nx(g)
+        assert is_two_connected(g) == nx.is_biconnected(ng)
+        assert is_chordal(g) == nx.is_chordal(ng)
+        if is_connected(g):
+            d = block_decomposition(g)
+            if g.n >= 2:
+                assert set(d.blocks) == {frozenset(c) for c in nx.biconnected_components(ng)}
+            assert d.cut_vertices == frozenset(nx.articulation_points(ng))
+        else:
+            disconnected += 1
+        h = random_graph_raw(rng, rng.randint(1, 5), rng.choice([0.3, 0.6]))
+        for kind, nx_product in nx_products.items():
+            expected = {
+                tuple(sorted((a * h.n + b, c * h.n + e)))
+                for (a, b), (c, e) in nx_product(ng, to_nx(h)).edges
+            }
+            assert set(product(g, h, kind).graph.edges) == expected, kind
+    assert disconnected > 30
+
+
 def test_automorphism_groups_of_products():
     gc3 = gadget_c(3).graph
     for h, order in ((path(4).graph, 16), (gc3, 128)):

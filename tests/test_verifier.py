@@ -23,9 +23,6 @@ from deltaconvex.verifier import (
     write_report,
 )
 
-FAST = SuiteConfig(random_count=4, chordal_count=3)
-
-
 def _by_id(checks, tid):
     return [c for c in checks if c.theorem_id == tid]
 
@@ -67,6 +64,20 @@ def test_family_checks():
     ids = [r.theorem_id for r in rows]
     assert ids == ["chordal_c2", "chordal_e23", "hull2_chordal"]
     assert all(r.status == "pass" for r in rows)
+
+
+def test_family_checks_skip_over_budget():
+    rows = verify_family(block_chain([3, 3, 3]), SuiteConfig(budget=3))
+    assert [(r.theorem_id, r.observed, r.status, r.reason) for r in rows] == [
+        ("block_c_i", "not computed", "skipped", "over budget (n=7, budget=3)"),
+        ("block_e_i", "not computed", "skipped", "over budget (n=7, budget=3)"),
+    ]
+    rows = verify_family(two_connected_chordal(8, 1), SuiteConfig(budget=0))
+    assert [(r.theorem_id, r.observed, r.status, r.reason) for r in rows] == [
+        ("chordal_c2", "not computed", "skipped", "over budget (n=8, budget=0)"),
+        ("chordal_e23", "not computed", "skipped", "over budget (n=8, budget=0)"),
+        ("hull2_chordal", "not computed", "skipped", "budget is 0"),
+    ]
 
 
 def test_product_checks_cartesian_lower_bounds():
@@ -129,7 +140,7 @@ def test_product_checks_strong_and_lex():
 
 
 def test_run_suite_counts_and_failures():
-    report = run_suite(FAST)
+    report = run_suite(SuiteConfig())
     s = report.summary
     assert s["total"] == s["pass"] + s["fail"] + s["skipped"] + s["hypothesis_unmet"] + s["flagged"]
     # the only failures are the brute-force refutations of the path-product
@@ -139,7 +150,7 @@ def test_run_suite_counts_and_failures():
 
 
 def test_run_suite_covers_every_theorem_id():
-    report = run_suite(FAST)
+    report = run_suite(SuiteConfig())
     expected = {
         "sierksma", "cara_triangle_bound", "exch_triangle_bound", "cara_prop_iii",
         "triangle_free_c1", "triangle_free_e2", "complete_c2", "complete_e2",
@@ -154,8 +165,8 @@ def test_run_suite_covers_every_theorem_id():
 
 
 def test_run_suite_deterministic_across_jobs():
-    r1 = run_suite(FAST)
-    r2 = run_suite(SuiteConfig(random_count=4, chordal_count=3, jobs=3))
+    r1 = run_suite(SuiteConfig())
+    r2 = run_suite(SuiteConfig(jobs=3))
     assert r1.lines() == r2.lines()
 
 
@@ -178,12 +189,12 @@ def test_run_suite_pool_has_no_more_workers_than_tasks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", RecordingPool)
-    config = SuiteConfig(suites=("blocks",), random_count=2, chordal_count=2)
-    tasks = len(verifier._collect_tasks(config, build_corpus(config)))
+    config = SuiteConfig(suites=("blocks",))
+    tasks = len(verifier._collect_tasks(config, build_corpus(config.seed)))
     assert tasks > 2
     serial = run_suite(config).lines()
     for jobs, expected in ((1000, tasks), (2, 2)):
-        report = run_suite(SuiteConfig(suites=("blocks",), random_count=2, chordal_count=2, jobs=jobs))
+        report = run_suite(SuiteConfig(suites=("blocks",), jobs=jobs))
         assert sizes.pop() == expected
         assert report.lines() == serial
     assert not sizes
@@ -195,7 +206,7 @@ def test_run_suite_rejects_jobs_below_one():
 
 
 def test_run_suite_budget_zero_skips_everything():
-    report = run_suite(SuiteConfig(budget=0, random_count=2, chordal_count=2))
+    report = run_suite(SuiteConfig(budget=0))
     assert report.summary["total"] == report.summary["skipped"]
     assert report.failed == 0
 
@@ -206,27 +217,13 @@ def test_run_suite_rejects_unknown_suite():
 
 
 def test_suite_subsets():
-    report = run_suite(SuiteConfig(suites=("blocks",), random_count=2, chordal_count=2))
+    report = run_suite(SuiteConfig(suites=("blocks",)))
     ids = covered_theorem_ids(report.checks)
     assert "block_c_i" in ids and "sierksma" not in ids
 
 
-def test_theorem_and_family_filters():
-    # only the Sierksma inequality over only the 30 random graphs
-    report = run_suite(
-        SuiteConfig(
-            suites=("universal",),
-            families=("random",),
-            theorems=("sierksma",),
-        )
-    )
-    assert report.summary["total"] == 30
-    assert all(c.theorem_id == "sierksma" for c in report.checks)
-    assert report.summary["pass"] == 30
-
-
 def test_report_format():
-    report = run_suite(SuiteConfig(suites=("gadgets",), random_count=2, chordal_count=2))
+    report = run_suite(SuiteConfig(suites=("gadgets",)))
     buf = io.StringIO()
     write_report(report, buf)
     lines = buf.getvalue().strip().split("\n")
@@ -244,7 +241,7 @@ def test_gadget_reconstruction_failure_surfaces_loudly(monkeypatch):
         raise ReconstructionError(f"synthetic discrepancy for n={n}")
 
     monkeypatch.setattr(verifier_mod, "gadget_c", broken)
-    report = run_suite(SuiteConfig(suites=("gadgets",), random_count=2, chordal_count=2))
+    report = run_suite(SuiteConfig(suites=("gadgets",)))
     failing = [c for c in report.checks if c.status == "fail"]
     assert len(failing) == 3
     assert all(c.theorem_id == "gadget_c_exact" for c in failing)
@@ -253,8 +250,8 @@ def test_gadget_reconstruction_failure_surfaces_loudly(monkeypatch):
 
 
 def test_seed_changes_random_corpus():
-    c0 = build_corpus(SuiteConfig(seed=0, random_count=3, chordal_count=2))
-    c1 = build_corpus(SuiteConfig(seed=1, random_count=3, chordal_count=2))
+    c0 = build_corpus(0)
+    c1 = build_corpus(1)
     r0 = [i.graph for i in c0.base if i.family == "random"]
     r1 = [i.graph for i in c1.base if i.family == "random"]
     assert r0 != r1
