@@ -29,12 +29,15 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator
 
 INF = float("inf")
-# The most vertices a graph file may declare: files come from outside the
-# program, and a ``Graph`` allocates per vertex.
-MAX_VERTICES = 1 << 20
+# The most vertices a graph file or a generated family may have: files come
+# from outside the program, and a ``Graph``'s adjacency masks take about
+# n * n / 16 bytes even for a path, so the bound is on memory, not just on
+# the vertex count (a path on MAX_VERTICES vertices takes about 21 MB).
+MAX_VERTICES = 1 << 14
 # The most automorphisms a graph keeps for its searches (``Graph.symmetries``).
 # Any subset of the group keeps the searches' symmetry cut sound, and the
 # group can be huge (K7 alone has 5,040).
@@ -60,8 +63,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# bytes.translate table from the ASCII binary digits of ``bin`` to the
+# bytes 0 and 1, which ``itertools.compress`` reads as selectors.
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def set_from_mask(mask: int) -> frozenset[int]:
-    return frozenset(iter_bits(mask))
+    """The set bit positions of ``mask``, read from its binary digits in one
+    pass at C speed rather than one Python step per set bit."""
+    digits = bin(mask)[:1:-1].encode()
+    return frozenset(compress(range(len(digits)), digits.translate(_BITS)))
 
 
 def lowest_bit(mask: int) -> int:
@@ -124,14 +135,63 @@ class Graph:
         return tuple(tuple(p) for p in pairs)
 
     @cached_property
-    def triangle_index_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex v, the pair (a, b) of every triangle {v, a, b}, a < b."""
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.triangles:
-            pairs[u].append((v, w))
-            pairs[v].append((u, w))
-            pairs[w].append((u, v))
-        return tuple(tuple(p) for p in pairs)
+    def triangle_classes(
+        self,
+    ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The edges that lie on triangles, split into classes: two such
+        edges are in one class when a sequence of triangles, each sharing
+        an edge with the next, leads from one to the other.
+
+        Returns ``(links, masks, members)``. ``links[v]`` holds ``(u, c)``
+        for every edge vu on a triangle, c being the edge's class; an edge
+        on no triangle has no entry. A class is numbered by its least
+        triangle (an index into ``triangles``); ``masks[c]`` is the vertex
+        mask of class c and ``members[c]`` its vertices. At an index that
+        numbers no class, ``masks`` is 0 and ``members`` is that
+        triangle's.
+
+        One pass over the triangles finds the first triangle of every edge
+        and the pairs of triangles that share an edge; a union-find over
+        triangle indices then merges those.
+        """
+        n, tris = self.n, self.triangles
+        links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        first: dict[int, int] = {}  # edge u * n + v (u < v) -> its first triangle
+        setdefault = first.setdefault
+        shared: list[tuple[int, int]] = []
+        for t, (a, b, c) in enumerate(tris):
+            for u, v in ((a, b), (a, c), (b, c)):
+                s = setdefault(u * n + v, t)
+                if s == t:
+                    links[u].append((v, t))
+                    links[v].append((u, t))
+                else:
+                    shared.append((s, t))
+        masks = list(self.triangle_masks)
+        members: list[tuple[int, ...]] = list(tris)
+        if shared:
+            # Each root is the least triangle of its set (finds halve their
+            # paths), so in index order a triangle's root is final before
+            # any later triangle reads it.
+            root = list(range(len(tris)))
+            for s, t in shared:
+                while root[s] != s:
+                    root[s] = s = root[root[s]]
+                while root[t] != t:
+                    root[t] = t = root[root[t]]
+                if s != t:
+                    root[max(s, t)] = min(s, t)
+            merged = set()
+            for t, r in enumerate(root):
+                if r != t:
+                    root[t] = r = root[r]
+                    masks[r] |= masks[t]
+                    masks[t] = 0
+                    merged.add(r)
+            for r in merged:
+                members[r] = tuple(iter_bits(masks[r]))
+            links = [[(u, root[t]) for u, t in lv] for lv in links]
+        return tuple(map(tuple, links)), tuple(masks), tuple(members)
 
     @cached_property
     def triangle_vertex_mask(self) -> int:
@@ -486,36 +546,44 @@ def is_block_graph(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum-cardinality search plus perfect-elimination-order check."""
+    """Maximum-cardinality search plus perfect-elimination-order check.
+
+    The search keeps the unnumbered vertices in buckets by weight (their
+    numbered neighbours) and numbers a vertex of the heaviest bucket next.
+    Numbering a vertex raises its neighbours' weights by one, so the
+    heaviest bucket is at most one above the last; finding it takes O(1)
+    amortised, and the search O(n + m) bucket moves. The reverse numbering
+    is an elimination order iff G is chordal, checked by the parent-subset
+    test as each vertex is numbered: its numbered neighbours other than
+    the last numbered one (its parent) must all be neighbours of the parent.
+    """
     n = g.n
     if n <= 3:
         return True
+    adj = g.adj
+    most = max(map(int.bit_count, adj))  # no weight exceeds the degree
     weight = [0] * n
-    numbered = 0
+    buckets: list[set[int]] = [set(range(n))] + [set() for _ in range(most)]
     sel = [0] * n
-    order: list[int] = []
+    numbered = 0
+    top = 0
     for step in range(n):
-        best = -1
-        best_w = -1
-        for v in range(n):
-            if not numbered >> v & 1 and weight[v] > best_w:
-                best, best_w = v, weight[v]
-        order.append(best)
-        sel[best] = step
-        numbered |= 1 << best
-        for u in iter_bits(g.adj[best] & ~numbered):
-            weight[u] += 1
-    # Reverse selection order is an elimination order iff G is chordal;
-    # verify with the parent-subset test.
-    for v in range(n):
-        earlier = 0
-        for w in iter_bits(g.adj[v]):
-            if sel[w] < sel[v]:
-                earlier |= 1 << w
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
+        sel[v] = step
+        earlier = adj[v] & numbered
         if earlier & (earlier - 1):
-            par = max(iter_bits(earlier), key=lambda w: sel[w])
-            if earlier & ~(1 << par) & ~g.adj[par]:
+            par = max(iter_bits(earlier), key=sel.__getitem__)
+            if earlier & ~(1 << par) & ~adj[par]:
                 return False
+        numbered |= 1 << v
+        for u in iter_bits(adj[v] & ~numbered):
+            w = weight[u]
+            buckets[w].remove(u)
+            buckets[w + 1].add(u)
+            weight[u] = w + 1
+        top = min(top + 1, most)
     return True
 
 

@@ -6,17 +6,34 @@ singletons are vacuously convex (any addition needs two set members).
 
 The mask-level entry points (``interval_mask``, ``hull_mask``,
 ``extend_hull``) are the hot path and work on plain int bitmasks. Both
-closures are worklists over vertices, so each member's triangles are
-scanned once rather than every triangle once per pass:
+closures are worklists over vertices, so each member is scanned once
+rather than every triangle once per pass:
 
-- ``hull_mask`` closes a set from scratch. It keeps membership in one
-  byte per vertex and reads the per-vertex index pairs
-  ``Graph.triangle_index_pairs``, since testing a byte is cheaper than
-  masking a many-digit int; it converts to a mask once, at the end.
+- ``hull_mask`` closes a set from scratch over the triangle edge classes
+  of ``Graph.triangle_classes``: two edges are in one class when a
+  sequence of triangles, each sharing an edge with the next, joins them.
+  Once both ends of an edge are in, the whole class joins in one OR, so
+  on a 2-connected chordal graph, where every triangle edge is in one
+  class, an edge's hull is a single step. Membership is one byte per
+  vertex, since testing a byte is cheaper than masking a many-digit int.
 - ``extend_hull`` grows an already closed set by one vertex over the mask
   pairs ``Graph.triangle_pairs``. Its input is already a mask and few
   vertices join per call, so it tests membership on the mask directly;
-  the invariant searches call it for every node.
+  the invariant searches call it for every node. (Over classes it was
+  slower: the searched products have few triangles that share an edge.)
+
+The class rule gives the hull. Let H be the hull of S.
+
+- Every class with an edge inside H lies inside H. A triangle with two
+  vertices in the convex set H has its third there too, so every triangle
+  on an edge inside H is inside H, and so are its other two edges; going
+  from triangle to triangle along shared edges covers the class.
+- A set that holds the whole class of every edge inside it is convex: a
+  triangle with two members a, b has its third vertex in the class of ab.
+
+So the least set that contains S and is closed under "an edge inside
+brings in its class" is H: it lies in H by the first point, and by the
+second it is a convex set containing S.
 
 ``interval_mask`` is one pass over every triangle, and the traced closure
 and the convexity test are defined pass by pass through it; it is also
@@ -64,24 +81,18 @@ def interval_mask(g: Graph, mask: int) -> int:
     return out
 
 
-# bytes.translate table from one membership byte (0 or 1) per vertex to the
-# ASCII binary digits that ``int(..., 2)`` reads.
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def hull_mask(g: Graph, mask: int) -> int:
     """Least fixpoint of the interval operator containing ``mask``.
 
-    A worklist over vertices: membership is one byte per vertex, and a
-    popped member scans its triangles in ``g.triangle_index_pairs``, adding
-    the third vertex of every triangle it shares with exactly one other
-    member. A triangle fires only once two of its vertices are in, and one
-    of those two is scanned after both are (the later to join, or both when
-    both are in ``mask``), so scanning each member's triangles once reaches
-    the same least fixpoint as repeated passes. Only members with a
-    neighbour in ``mask`` share a triangle with another member, so they
-    seed the worklist. Returns ``g.full_mask`` as soon as every vertex is
-    in.
+    A worklist over vertices, membership one byte per vertex: a popped
+    member v reads its entries ``(u, c)`` in ``g.triangle_classes``, and
+    when u is a member and class c has not fired yet, the vertex mask of c
+    joins in one OR and the class's new vertices are pushed. The module
+    docstring shows that this closure is the hull. Every edge with both
+    ends inside is read from an end that was popped once the other was in:
+    the later to join, or both when both are in ``mask``. Only members with
+    a neighbour in ``mask`` have such an edge, so they seed the worklist.
+    Returns ``g.full_mask`` as soon as every vertex is in.
     """
     adj = g.adj
     inside = bytearray(g.n)
@@ -96,25 +107,23 @@ def hull_mask(g: Graph, mask: int) -> int:
         m ^= low
     if not todo:
         return mask
-    pairs = g.triangle_index_pairs
-    left = outside = g.n - mask.bit_count()
+    links, class_masks, members = g.triangle_classes
+    fired = bytearray(len(class_masks))
+    full = g.full_mask
     pop, push = todo.pop, todo.append
     while todo:
-        for a, b in pairs[pop()]:
-            if inside[a]:
-                if inside[b]:
-                    continue
-                a = b
-            elif not inside[b]:
+        for u, c in links[pop()]:
+            if fired[c] or not inside[u]:
                 continue
-            inside[a] = 1
-            push(a)
-            left -= 1
-        if not left:
-            return g.full_mask
-    if left == outside:
-        return mask
-    return int(inside[::-1].translate(_DIGITS), 2)
+            fired[c] = 1
+            mask |= class_masks[c]
+            if mask == full:
+                return full
+            for w in members[c]:
+                if not inside[w]:
+                    inside[w] = 1
+                    push(w)
+    return mask
 
 
 def extend_hull(g: Graph, closed_mask: int, v: int) -> int:

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,8 +20,15 @@ from deltaconvex import (
     is_two_connected,
     triangles,
 )
-from deltaconvex.families import block_chain, complete, cycle, gadget_c, path
-from deltaconvex.graphs import SYMMETRY_LIMIT, automorphisms, graph_from_text
+from deltaconvex.families import block_chain, complete, cycle, gadget_c, path, two_connected_chordal
+from deltaconvex.graphs import (
+    SYMMETRY_LIMIT,
+    automorphisms,
+    graph_from_text,
+    iter_bits,
+    set_from_mask,
+    vertex_mask,
+)
 from deltaconvex.products import product
 from conftest import random_graph_raw
 
@@ -65,6 +73,88 @@ def test_triangle_count_matches_common_neighbor_formula():
         assert via_edges % 3 == 0
         assert len(g.triangles) == via_edges // 3
         assert len(g.triangles) == oracles.triangle_count(g.n, g.edges)
+
+
+def _naive_edge_classes(g):
+    """Triangle edges grouped by a breadth-first search over triangles
+    that share an edge."""
+    on_edge = {}
+    for t in g.triangles:
+        for e in combinations(t, 2):
+            on_edge.setdefault(e, []).append(t)
+    classes, seen = set(), set()
+    for start in on_edge:
+        if start in seen:
+            continue
+        seen.add(start)
+        todo, found = [start], set()
+        while todo:
+            e = todo.pop()
+            found.add(e)
+            for t in on_edge[e]:
+                for f in combinations(t, 2):
+                    if f not in seen:
+                        seen.add(f)
+                        todo.append(f)
+        classes.add(frozenset(found))
+    return classes
+
+
+def test_triangle_classes_match_naive_search():
+    rng = random.Random(12)
+    graphs = [
+        random_graph_raw(rng, rng.randint(0, 14), rng.choice([0.15, 0.3, 0.5, 0.8]))
+        for _ in range(250)
+    ]
+    graphs += [gadget_c(6).graph, complete(6).graph, block_chain([3, 4, 3]).graph]
+    graphs += [two_connected_chordal(30, s).graph for s in range(3)]
+    for g in graphs:
+        links, masks, members = g.triangle_classes
+        assert len(links) == g.n and len(masks) == len(members) == len(g.triangles)
+        edges_of = {}
+        for v, entries in enumerate(links):
+            for u, c in entries:
+                assert (v, c) in links[u]
+                edges_of.setdefault(c, set()).add((min(u, v), max(u, v)))
+        # the classes partition the triangle edges: one entry per end of each
+        triangle_edges = {e for t in g.triangles for e in combinations(t, 2)}
+        assert sum(map(len, links)) == 2 * len(triangle_edges)
+        assert set().union(*edges_of.values()) == triangle_edges
+        assert {frozenset(es) for es in edges_of.values()} == _naive_edge_classes(g)
+        for c, es in edges_of.items():
+            ends = {x for e in es for x in e}
+            assert masks[c] == vertex_mask(ends) and sorted(members[c]) == sorted(ends)
+            # numbered by its least triangle
+            assert c == min(i for i, t in enumerate(g.triangles) if set(combinations(t, 2)) <= es)
+        assert all(masks[i] == 0 for i in range(len(masks)) if i not in edges_of)
+
+
+def test_edges_on_no_triangle_have_no_class_entry():
+    # a triangle, a bridge from it, and a 4-cycle hanging off the bridge
+    g = graph_from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+    links, masks, members = g.triangle_classes
+    assert sorted(links[2]) == [(0, 0), (1, 0)]
+    assert links[3] == links[4] == links[5] == links[6] == ()
+    assert masks == (0b111,) and members == ((0, 1, 2),)
+    for h in (P4, cycle(6).graph, Graph(0, []), Graph(3, [])):
+        assert h.triangle_classes == (((),) * h.n, (), ())
+    # two triangles that share only a vertex stay two classes
+    bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert bowtie.triangle_classes[1] == (0b00111, 0b11100)
+
+
+def test_set_from_mask_matches_iter_bits():
+    rng = random.Random(13)
+    masks = [0, 1, 2, 1 << 400, (1 << 400) - 1, (1 << 30) | 1]
+    for _ in range(400):
+        bits = rng.randint(1, 600)
+        m = rng.getrandbits(bits)
+        if rng.random() < 0.5:  # sparse
+            m &= rng.getrandbits(bits) & rng.getrandbits(bits)
+        masks.append(m)
+    masks += list(range(1 << 10))
+    for m in masks:
+        assert set_from_mask(m) == frozenset(iter_bits(m))
 
 
 def test_distance_matrix_examples():
@@ -194,6 +284,31 @@ def test_is_chordal_against_induced_cycle_oracle():
     for _ in range(60):
         g = random_graph_raw(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.7]))
         assert is_chordal(g) == oracles.chordal(g.n, g.edges), g.edges
+
+
+def test_is_chordal_matches_networkx_on_larger_graphs():
+    # larger than the oracle test's graphs: the search's bucket pointer
+    # climbs and falls many times; deleting one edge of a generated chordal
+    # graph often leaves a long chordless cycle
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(14)
+    graphs = [
+        random_graph_raw(rng, rng.randint(10, 40), rng.choice([0.05, 0.1, 0.3, 0.6, 0.9]))
+        for _ in range(150)
+    ]
+    for s in range(40):
+        base = two_connected_chordal(rng.randint(10, 60), s).graph
+        graphs.append(base)
+        drop = rng.randrange(len(base.edges))
+        graphs.append(Graph(base.n, base.edges[:drop] + base.edges[drop + 1 :]))
+    verdicts = set()
+    for g in graphs:
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        verdicts.add(is_chordal(g))
+        assert is_chordal(g) == nx.is_chordal(ng), g.edges
+    assert verdicts == {True, False}
 
 
 def test_json_round_trip():

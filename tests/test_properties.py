@@ -20,7 +20,7 @@ from deltaconvex import (
 from deltaconvex.graphs import iter_bits, vertex_mask
 from deltaconvex.hull import extend_hull, hull_mask, interval_mask
 from deltaconvex import independence
-from deltaconvex.families import gadget_c, path
+from deltaconvex.families import complete, gadget_c, path, two_connected_chordal
 from deltaconvex.independence import CARATHEODORY, EXCHANGE, HELLY, _lex_search
 from deltaconvex.products import product
 
@@ -139,8 +139,30 @@ def _interval_fixpoint(g, mask):
         mask = grown
 
 
-@settings(max_examples=150, deadline=None)
-@given(large_graph_and_mask())
+@st.composite
+def class_heavy_graph_and_mask(draw):
+    """Graphs whose triangle classes are large, each relabelled, with a
+    mask that is usually small: dense random graphs on up to 60 vertices,
+    complete graphs and generated 2-connected chordal graphs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(["dense", "complete", "chordal"]))
+    n = draw(st.integers(min_value=3, max_value=60))
+    if shape == "dense":
+        p = draw(st.sampled_from([0.4, 0.6, 0.8, 0.95]))
+        base = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    elif shape == "complete":
+        base = complete(n).graph
+    else:
+        base = two_connected_chordal(n, rng.randrange(1000)).graph
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = _relabelled(base, perm)
+    size = draw(st.sampled_from([0, 1, 2, 3, n // 2, n]))
+    return g, vertex_mask(rng.sample(range(n), size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(large_graph_and_mask(), class_heavy_graph_and_mask()))
 def test_hull_mask_equals_interval_fixpoint(gm):
     g, mask = gm
     assert hull_mask(g, mask) == _interval_fixpoint(g, mask)
