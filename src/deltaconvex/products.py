@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, GraphError, vertex_mask
+from .graphs import Graph, GraphError, _check_vertex_count, vertex_mask
 from .independence import _c_witness, _e_witness, _members
 
 CARTESIAN = "cartesian"
@@ -48,6 +48,7 @@ def product(g: Graph, h: Graph, kind: str) -> ProductGraph:
     kind = normalize_kind(kind)
     if g.n == 0 or h.n == 0:
         raise GraphError("product factors must be nonempty")
+    _check_vertex_count(g.n * h.n)
     nh = h.n
     edges: list[tuple[int, int]] = []
     if kind == LEXICOGRAPHIC:

@@ -19,6 +19,20 @@ once per task. Checks reach searches, witnesses and graph queries through
 module globals at call time, so rebinding those names (as the benchmark's
 tracer does) sees every call.
 
+``jobs`` processes run the tasks, the caller included, in static shares:
+the tasks are ordered by a deterministic size (n_G * n_H for a product
+task, n for any other), largest first, and dealt round-robin into
+``min(jobs, tasks)`` shares. The caller forks one child per share past
+the first and runs share 0 itself; each child sends its rows back as one
+pickled message on a pipe and leaves by ``os._exit``. Rows are placed by
+task index, so the report does not depend on ``jobs``. A child's
+exception is raised again in the caller (as a ``RuntimeError`` with the
+child's traceback if it cannot be pickled), a child that exits without
+a result raises a ``RuntimeError`` naming its exit status, every child
+is reaped before ``run_suite`` returns or raises, and no partial report
+is made. Without ``os.fork`` the tasks run serially. A fork copies only
+the calling thread, so ``jobs > 1`` expects a caller without threads.
+
 Statuses: ``pass`` and ``fail`` compare an exhaustively computed value
 with the prediction; ``hypothesis_unmet`` records that a theorem's
 preconditions do not hold for the graph (never silently dropped);
@@ -30,7 +44,7 @@ from __future__ import annotations
 
 import json
 import operator
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from math import comb
@@ -95,7 +109,10 @@ class SuiteConfig:
 
     ``seed`` picks the corpus's 30 random and 10 chordal graphs, ``budget``
     bounds the exhaustive searches, ``suites`` selects from ``SUITES`` and
-    ``jobs`` is the worker count, which never changes the report.
+    ``jobs`` is the number of processes that run the tasks, the caller
+    included: ``min(jobs, tasks) - 1`` forked children, none without
+    ``os.fork``. It never changes the report (module docstring: shares
+    and failure rules).
     """
 
     seed: int = 0
@@ -500,6 +517,115 @@ def _execute_task(task: tuple) -> list[TheoremCheck]:
     return verify_products(*payload, config)
 
 
+def _size_key(task: tuple) -> int:
+    """A task's deterministic size: n_G * n_H for a product, else n."""
+    _, tag, payload = task
+    if tag == "products":
+        gi, hi, _ = payload
+        return gi.graph.n * hi.graph.n
+    return payload.graph.n
+
+
+def _shares(sizes: list[int], workers: int) -> list[list[int]]:
+    """Task indices, largest size first (ties in task order), dealt
+    round-robin into ``workers`` shares."""
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    return [order[w::workers] for w in range(workers)]
+
+
+def _run_child(tasks: list[tuple], share: list[int], fd: int, inherited: list[int]) -> None:
+    """In a forked child: close the ``inherited`` pipe ends, run ``share``
+    and send its rows, or its error, to ``fd``.
+
+    Never returns: ``os._exit`` skips the buffers and atexit hooks the
+    child inherited, so nothing the caller owns runs twice. An interrupt
+    sends nothing; the caller then reports the exit status."""
+    import pickle
+    import traceback
+
+    code = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        try:
+            message = ("rows", [_execute_task(tasks[i]) for i in share])
+            code = 0
+        except Exception as exc:
+            try:
+                exc_bytes = pickle.dumps(exc)
+            except Exception:
+                exc_bytes = None
+            message = ("error", traceback.format_exc(), exc_bytes)
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(message))
+    finally:
+        os._exit(code)
+
+
+def _receive(pid: int, fd: int) -> list[list[TheoremCheck]]:
+    """Read a child's message to EOF, reap the child (also on error), and
+    return its rows or raise its error."""
+    import pickle
+
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        message = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"verify worker {pid} {how} without a result") from None
+    if message[0] == "rows":
+        return message[1]
+    _, text, exc_bytes = message
+    remote = RuntimeError(f"verify worker {pid} failed:\n{text}")
+    if exc_bytes is None:
+        raise remote
+    try:
+        exc = pickle.loads(exc_bytes)
+    except Exception:  # an exception class that pickles but cannot be rebuilt
+        raise remote from None
+    raise exc from remote
+
+
+def _run_shares(tasks: list[tuple], workers: int) -> list[list[TheoremCheck]]:
+    """Each task's rows, in task order, from ``workers`` static shares:
+    the caller runs share 0 and one forked child runs each of the others."""
+    fork = getattr(os, "fork", None)
+    if workers <= 1 or fork is None:
+        return [_execute_task(t) for t in tasks]
+    import signal  # here and in the helpers: a serial run imports none of it
+
+    shares = _shares([_size_key(t) for t in tasks], workers)
+    results: list = [None] * len(tasks)
+    unread: dict[int, int] = {}  # child pid -> read end of its pipe
+    try:
+        for share in shares[1:]:
+            fd_read, fd_write = os.pipe()
+            pid = fork()
+            if pid == 0:
+                _run_child(tasks, share, fd_write, [fd_read, *unread.values()])
+            os.close(fd_write)
+            unread[pid] = fd_read
+        for i in shares[0]:
+            results[i] = _execute_task(tasks[i])
+        for (pid, fd), share in zip(list(unread.items()), shares[1:]):
+            del unread[pid]
+            for i, rows in zip(share, _receive(pid, fd)):
+                results[i] = rows
+    finally:
+        # Left only after a failure: stop and reap them, so no partial
+        # report is made and no child outlives the call.
+        for pid, fd in unread.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
     for s in config.suites:
         if s not in SUITES:
@@ -508,13 +634,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
     corpus = build_corpus(config.seed)
     tasks = _collect_tasks(config, corpus)
-    # The pool starts all its workers at once; no more than there are tasks.
-    workers = min(config.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_execute_task, tasks))
-    else:
-        results = [_execute_task(t) for t in tasks]
+    results = _run_shares(tasks, min(config.jobs, len(tasks)))
     checks = [c for rows in (corpus.failures, *results) for c in rows]
     counts = {"pass": 0, "fail": 0, "skipped": 0, "hypothesis_unmet": 0, "flagged": 0}
     for c in checks:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from deltaconvex import graph_from_edges, graph_to_json, save_graph
 from deltaconvex.cli import _FAMILIES, main
-from deltaconvex.families import gadget_c, random_graph
+from deltaconvex.families import gadget_c, path, random_graph
 from deltaconvex.graphs import MAX_VERTICES
 
 
@@ -181,6 +181,15 @@ def test_product_command(tmp_path):
     assert data["kind"] == "strong"
     assert [f["name"] for f in data["factors"]] == ["P2", "Q2"]
     assert "encoding" in data
+
+
+def test_product_over_vertex_limit_is_usage_error(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", path(129).graph)
+    b = _write(tmp_path, "b.json", path(128).graph)
+    out = tmp_path / "prod.json"
+    assert main(["product", "--kind", "cartesian", a, b, "-o", str(out)]) == 2
+    assert "vertex count 16512 is over the limit" in _single_error_line(capsys)
+    assert not out.exists()
 
 
 def test_product_output_feeds_other_commands(tmp_path, capsys):

@@ -20,6 +20,7 @@ from deltaconvex import (
     triangles,
 )
 from deltaconvex.families import complete, cycle, gadget_c, path
+from deltaconvex.graphs import MAX_VERTICES
 from conftest import random_graph_raw
 
 P2 = path(2).graph
@@ -49,6 +50,18 @@ def test_product_kinds_and_errors():
         product(graph_from_edges(0, []), P2, "cartesian")
     p = product(P3, P2, "lex")
     assert p.kind == "lexicographic"
+
+
+def test_product_over_vertex_limit_is_refused():
+    # path(129) x path(128) has 16,512 vertices, 128 over the limit
+    g, h = path(129).graph, path(128).graph
+    assert g.n * h.n == MAX_VERTICES + 128
+    for kind in ("cartesian", "strong", "lexicographic"):
+        with pytest.raises(GraphError, match=f"vertex count {g.n * h.n} is over the limit"):
+            product(g, h, kind)
+    # exactly at the limit is allowed (edge-free factors keep it cheap)
+    edgeless = graph_from_edges(128, [])
+    assert product(edgeless, edgeless, "cartesian").graph.n == MAX_VERTICES
 
 
 def test_edge_count_identities():

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,34 +174,127 @@ def test_run_suite_deterministic_across_jobs():
     assert r1.lines() == r2.lines()
 
 
-def test_run_suite_pool_has_no_more_workers_than_tasks(monkeypatch):
-    sizes = []
+def _blocks_config(jobs: int = 1) -> SuiteConfig:
+    """The 9-task ``blocks`` suite: cheap enough to fork for."""
+    return SuiteConfig(suites=("blocks",), jobs=jobs)
 
-    class RecordingPool:
-        """Runs tasks in this process and records the requested size."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_run_suite_starts_no_more_workers_than_tasks(monkeypatch):
+    forks = []
+    real_fork = os.fork
 
-        def map(self, fn, items):
-            return map(fn, items)
+    def recording_fork():
+        forks.append(1)
+        return real_fork()
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", RecordingPool)
-    config = SuiteConfig(suites=("blocks",))
+    monkeypatch.setattr(os, "fork", recording_fork)
+    config = _blocks_config()
     tasks = len(verifier._collect_tasks(config, build_corpus(config.seed)))
     assert tasks > 2
     serial = run_suite(config).lines()
-    for jobs, expected in ((1000, tasks), (2, 2)):
-        report = run_suite(SuiteConfig(suites=("blocks",), jobs=jobs))
-        assert sizes.pop() == expected
+    assert not forks
+    for jobs, workers in ((1000, tasks), (2, 2)):
+        report = run_suite(_blocks_config(jobs))
+        # the caller is one of the workers
+        assert len(forks) == workers - 1
+        forks.clear()
         assert report.lines() == serial
-    assert not sizes
+    _assert_no_child_left()
+
+
+def _in_children_only(monkeypatch, fail):
+    """Make ``verify_family`` call ``fail()`` in forked children only."""
+    caller = os.getpid()
+    real = verifier.verify_family
+
+    def verify_family(inst, config):
+        if os.getpid() != caller:
+            fail()
+        return real(inst, config)
+
+    monkeypatch.setattr(verifier, "verify_family", verify_family)
+
+
+def test_run_suite_raises_a_child_exception_again(monkeypatch):
+    def fail():
+        raise ValueError("broken in a child")
+
+    _in_children_only(monkeypatch, fail)
+    with pytest.raises(ValueError, match="broken in a child") as info:
+        run_suite(_blocks_config(jobs=2))
+    assert "Traceback" in str(info.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_run_suite_carries_an_unpicklable_child_exception_as_text(monkeypatch):
+    class LocalError(Exception):
+        """Defined in a function, so pickle cannot find it by name."""
+
+    def fail():
+        raise LocalError("only the traceback survives")
+
+    _in_children_only(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="only the traceback survives"):
+        run_suite(_blocks_config(jobs=3))
+    _assert_no_child_left()
+
+
+def test_run_suite_raises_when_a_child_exits_without_a_result(monkeypatch):
+    _in_children_only(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+        run_suite(_blocks_config(jobs=2))
+    _assert_no_child_left()
+
+
+def test_run_suite_reaps_children_when_the_caller_share_fails(monkeypatch):
+    caller = os.getpid()
+    real = verifier.verify_family
+
+    def verify_family(inst, config):
+        if os.getpid() == caller:
+            raise KeyError("caller share")
+        return real(inst, config)
+
+    monkeypatch.setattr(verifier, "verify_family", verify_family)
+    with pytest.raises(KeyError, match="caller share"):
+        run_suite(_blocks_config(jobs=3))
+    _assert_no_child_left()
+
+
+def test_run_suite_without_fork_runs_serially(monkeypatch):
+    serial = run_suite(_blocks_config()).lines()
+    monkeypatch.delattr(os, "fork")
+    assert run_suite(_blocks_config(jobs=2)).lines() == serial
+
+
+def test_shares_hold_every_task_once_largest_first():
+    for count in range(21):
+        sizes = [(i * 7) % 5 + 2 for i in range(count)]
+        for workers in range(1, 9):
+            shares = verifier._shares(sizes, workers)
+            assert len(shares) == workers
+            assert sorted(i for share in shares for i in share) == list(range(count))
+            assert max(map(len, shares)) - min(map(len, shares)) <= 1
+            for share in shares:
+                assert [sizes[i] for i in share] == sorted((sizes[i] for i in share), reverse=True)
+
+
+def test_cli_import_loads_no_process_machinery():
+    code = (
+        "import sys, deltaconvex.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verifier.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_suite_rejects_jobs_below_one():
