@@ -24,13 +24,42 @@ order:
   an internal edge before it is tested;
 * Helly independence is hereditary, so the Helly search cuts the subtree
   of every dependent set, and the sizes it finds run from 1 up;
-* sizes are capped at k+1 (Caratheodory) / k+2 (exchange) for a graph
-  with k triangles, and at n (Helly);
+* sizes are capped at min(B, n) (Caratheodory) / min(B + 1, n)
+  (exchange), B being the component bound below, and at n (Helly). With
+  ``uncapped=True`` the caps are the candidate counts instead: the number
+  of triangle vertices (at least 1) for Caratheodory and n for exchange.
+  The verifier searches uncapped wherever it checks the triangle bounds
+  c <= k+1 and e <= k+2 (k triangles), since B is proved by the same
+  argument and a cap at B could never let those checks fail;
 * open-size rule: a size is open until its first independent set is
   found. A node is made only while its own size is open or it can still
   reach the smallest open size above it with the candidates left, and the
   search ends when the cap size is found. This is the per-size early stop
   of a size-by-size scan, without rescanning prefixes for every size.
+
+Component bound. A triangle component is a class of triangles joined by
+shared vertices; C has k_C triangles on the vertex set V_C. Then
+
+    B(G) = max over triangle components C of min(k_C + 1, (|V_C| + 1) // 2),
+
+and B = 1 for a triangle-free graph, bounds the size of every
+Caratheodory-independent set, and B + 1 that of every exchange-independent
+set. Proof: let |S| >= 2 and let p lie in hull(S) but in no hull(S - a).
+Then p is not in S. Take a derivation of p: a DAG whose inner nodes are
+vertices added by the closure, each with the two vertices of the triangle
+that added it as parents, and whose every node other than p has a child.
+Its leaves are exactly S, or else p would lie in hull(S - a) for an unused
+a. Its t inner vertices are distinct non-members, each added by its own
+triangle, and those triangles chain through shared vertices down to p's,
+so they all lie in one component C, which holds S as well. Each inner
+vertex has two parents and every node but p has a child, so
+|S| + t - 1 <= 2t: |S| <= t + 1 <= k_C + 1. The nodes are distinct
+vertices of C, so |S| + t <= |V_C|, and with t >= |S| - 1 that gives
+|S| <= (|V_C| + 1) // 2. For exchange with pivot q and |S| >= 3, the
+uncovered element of hull(S - q) lies in no hull(S - q - a), a in S - q,
+as those lie in the hulls hull(S - a); so S - q is
+Caratheodory-independent and |S| <= B + 1. Every pair is exchange
+independent, and B >= 1.
 
 Each node carries hull(S) and its leave-one-out hulls. A child S + x gets
 its own from its parent's with ``extend_hull``, which grows a closed set
@@ -112,9 +141,12 @@ class IndependenceVerdict:
 class InvariantResult:
     """Invariant value with its certifying set.
 
-    ``exhaustive`` is False when a caller-supplied size cap truncated the
-    search, in which case ``value`` is only a lower bound.
-    ``search_bound_used`` is the largest set size the search considered.
+    ``search_bound_used`` is the largest set size the search considered:
+    the proven size bound (for c and e, the component bound of the module
+    docstring, or the candidate count when searched uncapped), or
+    ``max_size`` where that is smaller. ``exhaustive`` is False when
+    ``max_size`` fell below the proven bound, in which case ``value`` is
+    only a lower bound.
     """
 
     value: int
@@ -386,6 +418,31 @@ def _fill_hulls(g: Graph, stack: list[list]) -> None:
         frame[2] = list(_grown(g, parent[1], parent[2], x))
 
 
+def component_bound(g: Graph) -> int:
+    """B(G): the largest min(k_C + 1, (|V_C| + 1) // 2) over the triangle
+    components C of ``g``, 1 without triangles (module docstring)."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for a, b, c in g.triangles:
+        ra = find(a)
+        root[find(b)] = ra
+        root[find(c)] = ra
+    triangles = [0] * g.n
+    vertices = [0] * g.n
+    for t in g.triangles:
+        triangles[find(t[0])] += 1
+    for v in iter_bits(g.triangle_vertex_mask):
+        vertices[find(v)] += 1
+    return max(
+        (min(k + 1, (nv + 1) // 2) for k, nv in zip(triangles, vertices) if k), default=1
+    )
+
+
 def _best(
     found: dict[int, int], default_size: int, default_mask: int
 ) -> tuple[int, frozenset[int]]:
@@ -394,25 +451,34 @@ def _best(
     return size, set_from_mask(found.get(size, default_mask))
 
 
-def caratheodory_number(g: Graph, max_size: int | None = None) -> InvariantResult:
-    """Maximum size of a Caratheodory-independent set (pruned search)."""
+def caratheodory_number(
+    g: Graph, max_size: int | None = None, *, uncapped: bool = False
+) -> InvariantResult:
+    """Maximum size of a Caratheodory-independent set (pruned search).
+
+    Sizes stop at min(B, n), B = ``component_bound(g)``; with ``uncapped``
+    at the number of triangle vertices, a cap that uses no bound."""
     if g.n == 0:
         raise GraphError("invariants are undefined for the empty graph")
-    k = len(g.triangles)
-    cap, exhaustive = _cap(min(k + 1, g.n), max_size)
     tri_vertices = list(iter_bits(g.triangle_vertex_mask))
+    bound = max(1, len(tri_vertices)) if uncapped else min(component_bound(g), g.n)
+    cap, exhaustive = _cap(bound, max_size)
     found = _lex_search(g, CARATHEODORY, tri_vertices, 2, cap)
     best_size, best_set = _best(found, 1, 1)
     return InvariantResult(best_size, best_set, exhaustive, cap)
 
 
-def exchange_number(g: Graph, max_size: int | None = None) -> InvariantResult:
-    """Maximum size of an exchange-independent set (pruned search)."""
+def exchange_number(
+    g: Graph, max_size: int | None = None, *, uncapped: bool = False
+) -> InvariantResult:
+    """Maximum size of an exchange-independent set (pruned search).
+
+    Sizes stop at min(B + 1, n), B = ``component_bound(g)``; with
+    ``uncapped`` at n, a cap that uses no bound."""
     if g.n == 0:
         raise GraphError("invariants are undefined for the empty graph")
     n = g.n
-    k = len(g.triangles)
-    cap, exhaustive = _cap(min(k + 2, n), max_size)
+    cap, exhaustive = _cap(n if uncapped else min(component_bound(g) + 1, n), max_size)
     found = _lex_search(g, EXCHANGE, list(range(n)), 3, cap)
     # Every pair is exchange independent.
     best_size, best_set = _best(found, 2, 0b11) if cap >= 2 else (1, frozenset({0}))
@@ -471,9 +537,10 @@ def naive_helly_number(g: Graph, max_size: int | None = None) -> InvariantResult
 
 
 def sierksma_check(g: Graph) -> tuple[bool, tuple[int, int, int]]:
-    """Check e - 1 <= c <= max(h, e - 1) on exhaustively computed values."""
-    c = caratheodory_number(g)
-    e = exchange_number(g)
+    """Check e - 1 <= c <= max(h, e - 1) on exhaustively computed values,
+    from c and e searched ``uncapped``."""
+    c = caratheodory_number(g, uncapped=True)
+    e = exchange_number(g, uncapped=True)
     h = helly_number(g)
     for r in (c, e, h):
         if not r.exhaustive:

@@ -103,7 +103,9 @@ def test_product_search_over_cost_limit_is_skipped(monkeypatch):
     searched = []
     for name in ("caratheodory_number", "exchange_number"):
         search = getattr(verifier, name)
-        monkeypatch.setattr(verifier, name, lambda g, f=search: searched.append(g.n) or f(g))
+        monkeypatch.setattr(
+            verifier, name, lambda g, f=search, **kw: searched.append(g.n) or f(g, **kw)
+        )
     rows = verify_products(gadget_c(3), path(4), "cartesian", SuiteConfig())
     by = {r.theorem_id: r for r in rows}
     assert by["cart_pn_e_eq"].status == "skipped"
