@@ -27,7 +27,7 @@ from .families import (
     random_graph,
     two_connected_chordal,
 )
-from .graphs import MAX_VERTICES, GraphError, _is_int, graph_to_json, load_graph, save_graph
+from .graphs import GraphError, _check_size, _is_int, graph_to_json, load_graph, save_graph
 from .hull import delta_hull, delta_hull_traced
 from .independence import (
     caratheodory_number,
@@ -87,21 +87,31 @@ def cmd_invariant(args: argparse.Namespace) -> int:
     return 0
 
 
+def _blocks(sizes: list[int]) -> tuple[int, int]:
+    """Vertex and edge counts of complete blocks of ``sizes`` in a tree."""
+    return 1 + sum(s - 1 for s in sizes), sum(s * (s - 1) // 2 for s in sizes)
+
+
+def _random_edges(n: int, p: float) -> int:
+    """The expected edge count of ``random``, in integers, so no n overflows."""
+    num, den = p.as_integer_ratio()
+    return num * n * (n - 1) // (2 * den)
+
+
 # family -> (generator, parameter names, whether the seed is passed last,
-# the vertex count the parameters give)
+# the vertex and edge counts the parameters give; a seeded family's edge
+# count is the expected one, below 3 per vertex for a chordal graph)
 _FAMILIES = {
-    "path": (path, ("n",), False, lambda n: n),
-    "cycle": (cycle, ("n",), False, lambda n: n),
-    "complete": (complete, ("n",), False, lambda n: n),
-    "complete_bipartite": (complete_bipartite, ("m", "n"), False, lambda m, n: m + n),
-    "block_chain": (block_chain, ("sizes",), False, lambda sizes: 1 + sum(s - 1 for s in sizes)),
-    "block_tree": (
-        block_tree, ("chains",), False, lambda chains: 1 + sum(s - 1 for c in chains for s in c)
-    ),
-    "two_connected_chordal": (two_connected_chordal, ("n",), True, lambda n: n),
-    "gadget_c": (gadget_c, ("n",), False, lambda n: 2 * n - 1),
-    "gadget_e": (gadget_e, ("k",), False, lambda k: 2 * k + 2),
-    "random": (random_graph, ("n", "p"), True, lambda n, p: n),
+    "path": (path, ("n",), False, lambda n: (n, n - 1)),
+    "cycle": (cycle, ("n",), False, lambda n: (n, n)),
+    "complete": (complete, ("n",), False, lambda n: (n, n * (n - 1) // 2)),
+    "complete_bipartite": (complete_bipartite, ("m", "n"), False, lambda m, n: (m + n, m * n)),
+    "block_chain": (block_chain, ("sizes",), False, _blocks),
+    "block_tree": (block_tree, ("chains",), False, lambda cs: _blocks([s for c in cs for s in c])),
+    "two_connected_chordal": (two_connected_chordal, ("n",), True, lambda n: (n, 3 * n)),
+    "gadget_c": (gadget_c, ("n",), False, lambda n: (2 * n - 1, 3 * (n - 1))),
+    "gadget_e": (gadget_e, ("k",), False, lambda k: (2 * k + 2, 3 * k + 1)),
+    "random": (random_graph, ("n", "p"), True, lambda n, p: (n, _random_edges(n, p))),
 }
 
 
@@ -111,7 +121,7 @@ def _is_int_list(x: object) -> bool:
 
 # parameter -> (what it must be, check); any other parameter is an integer
 _PARAM_TYPES = {
-    "p": ("a number", lambda x: _is_int(x) or isinstance(x, float)),
+    "p": ("a number from 0 to 1", lambda x: (_is_int(x) or type(x) is float) and 0 <= x <= 1),
     "sizes": ("a list of integers", _is_int_list),
     "chains": ("a list of integer lists", lambda x: isinstance(x, list) and all(map(_is_int_list, x))),
 }
@@ -122,7 +132,7 @@ def _build_family(family: str, params: object, seed: int) -> FamilyInstance:
         raise FamilyError(f"unknown family {family!r}")
     if not isinstance(params, dict):
         raise FamilyError("--params must be a JSON object")
-    generator, names, seeded, vertex_count = _FAMILIES[family]
+    generator, names, seeded, size = _FAMILIES[family]
     unknown = sorted(set(params) - set(names))
     if unknown:
         raise FamilyError(
@@ -136,12 +146,8 @@ def _build_family(family: str, params: object, seed: int) -> FamilyInstance:
         if not ok(params[name]):
             raise FamilyError(f"parameter {name!r} of family {family!r} must be {what}")
         args.append(params[name])
-    # Checked before the generator runs, which would allocate per vertex.
-    count = vertex_count(*args)
-    if count > MAX_VERTICES:
-        raise FamilyError(
-            f"family {family!r} would have vertex count {count}, over the limit of {MAX_VERTICES}"
-        )
+    # Checked before the generator allocates per vertex and per edge.
+    _check_size(*size(*args))
     if seeded:
         args.append(seed)
     return generator(*args)
@@ -246,7 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the theorem suite")
     p_ver.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--budget", type=int, default=12)
+    p_ver.add_argument(
+        "--budget", type=int, default=12,
+        help="run a search only if it may meet fewer than 2^BUDGET candidate sets, so a "
+        "budget of b covers any b-vertex graph; 0 or less skips every check (default 12)",
+    )
     p_ver.add_argument("--report", default=None, help="write JSONL report here")
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.set_defaults(func=cmd_verify)

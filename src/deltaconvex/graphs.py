@@ -38,6 +38,9 @@ INF = float("inf")
 # n * n / 16 bytes even for a path, so the bound is on memory, not just on
 # the vertex count (a path on MAX_VERTICES vertices takes about 21 MB).
 MAX_VERTICES = 1 << 14
+# The most edges of a generated family or product, checked before its edge
+# list is built: K1448 (1,047,628 edges) peaks at 205 MB in ``generate``.
+MAX_EDGES = 1 << 20
 # The most automorphisms a graph keeps for its searches (``Graph.symmetries``).
 # Any subset of the group keeps the searches' symmetry cut sound, and the
 # group can be huge (K7 alone has 5,040).
@@ -604,7 +607,7 @@ def graph_from_json(text: str) -> Graph:
     n, edges = data["n"], data["edges"]
     if not _is_int(n):
         raise GraphError(f'graph JSON "n" must be an integer, got {n!r}')
-    _check_vertex_count(n)
+    _check_size(n)
     if not isinstance(edges, list):
         raise GraphError('graph JSON "edges" must be a list')
     for e in edges:
@@ -617,9 +620,10 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_vertex_count(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise GraphError(f"vertex count {n} is over the limit of {MAX_VERTICES}")
+def _check_size(n: int, m: int = 0) -> None:
+    for what, count, limit in (("vertex", n, MAX_VERTICES), ("edge", m, MAX_EDGES)):
+        if count > limit:
+            raise GraphError(f"{what} count {count} is over the limit of {limit}")
 
 
 def graph_from_text(text: str) -> Graph:
@@ -635,7 +639,7 @@ def graph_from_text(text: str) -> Graph:
             edges.append((int(u), int(v)))
     except ValueError as exc:
         raise GraphError(f"invalid graph text: {exc}") from exc
-    _check_vertex_count(n)
+    _check_size(n)
     return Graph(n, edges)
 
 

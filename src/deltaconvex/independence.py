@@ -24,13 +24,11 @@ order:
   an internal edge before it is tested;
 * Helly independence is hereditary, so the Helly search cuts the subtree
   of every dependent set, and the sizes it finds run from 1 up;
-* sizes are capped at min(B, n) (Caratheodory) / min(B + 1, n)
-  (exchange), B being the component bound below, and at n (Helly). With
-  ``uncapped=True`` the caps are the candidate counts instead: the number
-  of triangle vertices (at least 1) for Caratheodory and n for exchange.
-  The verifier searches uncapped wherever it checks the triangle bounds
-  c <= k+1 and e <= k+2 (k triangles), since B is proved by the same
-  argument and a cap at B could never let those checks fail;
+* sizes are capped by the component bound B below, or with
+  ``uncapped=True`` by the candidate counts (``_plan`` defines each pool
+  and cap). The verifier searches uncapped wherever it checks the triangle
+  bounds c <= k+1 and e <= k+2 (k triangles), since B is proved by the
+  same argument and a cap at B could never let those checks fail;
 * open-size rule: a size is open until its first independent set is
   found. A node is made only while its own size is open or it can still
   reach the smallest open size above it with the candidates left, and the
@@ -105,6 +103,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, iter_bits, lowest_bit, set_from_mask, vertex_mask
@@ -142,11 +141,10 @@ class InvariantResult:
     """Invariant value with its certifying set.
 
     ``search_bound_used`` is the largest set size the search considered:
-    the proven size bound (for c and e, the component bound of the module
-    docstring, or the candidate count when searched uncapped), or
-    ``max_size`` where that is smaller. ``exhaustive`` is False when
-    ``max_size`` fell below the proven bound, in which case ``value`` is
-    only a lower bound.
+    the cap of ``_plan`` (for Helly, one above the value once a size has
+    none), or ``max_size`` where that is smaller. ``exhaustive`` is False
+    when ``max_size`` fell below that cap, in which case ``value`` is only
+    a lower bound.
     """
 
     value: int
@@ -254,13 +252,6 @@ def is_h_independent(g: Graph, s: Iterable[int]) -> IndependenceVerdict:
     members = _members(g, s)
     ok = _h_independent(g, vertex_mask(members), members)
     return IndependenceVerdict(HELLY, ok, None)
-
-
-def _cap(hard_cap: int, max_size: int | None) -> tuple[int, bool]:
-    if max_size is None:
-        return hard_cap, True
-    cap = max(1, min(hard_cap, max_size))
-    return cap, cap >= hard_cap
 
 
 def _lex_search(
@@ -443,46 +434,56 @@ def component_bound(g: Graph) -> int:
     )
 
 
-def _best(
-    found: dict[int, int], default_size: int, default_mask: int
-) -> tuple[int, frozenset[int]]:
-    """The largest size found and its set, else the defaults."""
-    size = max(found, default=default_size)
-    return size, set_from_mask(found.get(size, default_mask))
+def _plan(g: Graph, kind: str, uncapped: bool = False) -> tuple[list[int], int]:
+    """The candidate pool of a ``kind`` search, ascending, and its size cap:
+    the triangle vertices up to min(B, n) for Caratheodory, all vertices up
+    to min(B + 1, n) for exchange and up to n for Helly, with
+    B = ``component_bound(g)`` (module docstring, "Component bound", for
+    the proof). ``uncapped`` makes the c and e caps the pool size (at least
+    1), a cap that uses no bound."""
+    if g.n == 0:
+        raise GraphError("invariants are undefined for the empty graph")
+    pool = list(iter_bits(g.triangle_vertex_mask) if kind == CARATHEODORY else range(g.n))
+    if uncapped or kind == HELLY:
+        return pool, max(1, len(pool))
+    return pool, min(component_bound(g) + (kind == EXCHANGE), g.n)
+
+
+def search_space(g: Graph, kind: str, uncapped: bool = False) -> int:
+    """The number of subsets of a ``kind`` search's pool with sizes 1 to
+    its cap (``_plan``): the candidate sets it may meet before any cut."""
+    pool, cap = _plan(g, kind, uncapped)
+    if cap >= len(pool):
+        return (1 << len(pool)) - 1
+    return sum(comb(len(pool), s) for s in range(1, cap + 1))
+
+
+def _planned_search(
+    g: Graph, kind: str, lo: int, max_size: int | None, uncapped: bool = False
+) -> InvariantResult:
+    """The largest set ``_lex_search`` finds over the plan of ``kind`` from
+    size ``lo``, capped at ``max_size``; as every set below ``lo`` is
+    independent, the first of size min(lo - 1, cap) if it finds none."""
+    pool, bound = _plan(g, kind, uncapped)
+    cap = bound if max_size is None else max(1, min(bound, max_size))
+    found = _lex_search(g, kind, pool, lo, cap)
+    size = max(found, default=min(lo - 1, cap))
+    best = set_from_mask(found.get(size, (1 << size) - 1))
+    return InvariantResult(size, best, cap >= bound, cap)
 
 
 def caratheodory_number(
     g: Graph, max_size: int | None = None, *, uncapped: bool = False
 ) -> InvariantResult:
-    """Maximum size of a Caratheodory-independent set (pruned search).
-
-    Sizes stop at min(B, n), B = ``component_bound(g)``; with ``uncapped``
-    at the number of triangle vertices, a cap that uses no bound."""
-    if g.n == 0:
-        raise GraphError("invariants are undefined for the empty graph")
-    tri_vertices = list(iter_bits(g.triangle_vertex_mask))
-    bound = max(1, len(tri_vertices)) if uncapped else min(component_bound(g), g.n)
-    cap, exhaustive = _cap(bound, max_size)
-    found = _lex_search(g, CARATHEODORY, tri_vertices, 2, cap)
-    best_size, best_set = _best(found, 1, 1)
-    return InvariantResult(best_size, best_set, exhaustive, cap)
+    """Maximum size of a Caratheodory-independent set (pruned search)."""
+    return _planned_search(g, CARATHEODORY, 2, max_size, uncapped)
 
 
 def exchange_number(
     g: Graph, max_size: int | None = None, *, uncapped: bool = False
 ) -> InvariantResult:
-    """Maximum size of an exchange-independent set (pruned search).
-
-    Sizes stop at min(B + 1, n), B = ``component_bound(g)``; with
-    ``uncapped`` at n, a cap that uses no bound."""
-    if g.n == 0:
-        raise GraphError("invariants are undefined for the empty graph")
-    n = g.n
-    cap, exhaustive = _cap(n if uncapped else min(component_bound(g) + 1, n), max_size)
-    found = _lex_search(g, EXCHANGE, list(range(n)), 3, cap)
-    # Every pair is exchange independent.
-    best_size, best_set = _best(found, 2, 0b11) if cap >= 2 else (1, frozenset({0}))
-    return InvariantResult(best_size, best_set, exhaustive, cap)
+    """Maximum size of an exchange-independent set (pruned search)."""
+    return _planned_search(g, EXCHANGE, 3, max_size, uncapped)
 
 
 def helly_number(g: Graph, max_size: int | None = None) -> InvariantResult:
@@ -491,14 +492,10 @@ def helly_number(g: Graph, max_size: int | None = None) -> InvariantResult:
     Helly independence is hereditary, so the sizes with an independent set
     run from 1 up, and the search is exhaustive once one size has none.
     """
-    if g.n == 0:
-        raise GraphError("invariants are undefined for the empty graph")
-    limit = g.n if max_size is None else max(1, min(g.n, max_size))
-    found = _lex_search(g, HELLY, list(range(g.n)), 1, limit)
-    best_size, best_set = _best(found, 0, 0)
-    if best_size < limit:
-        return InvariantResult(best_size, best_set, True, best_size + 1)
-    return InvariantResult(best_size, best_set, limit >= g.n, limit)
+    res = _planned_search(g, HELLY, 1, max_size)
+    if res.value < res.search_bound_used:
+        return InvariantResult(res.value, res.extremal_set, True, res.value + 1)
+    return res
 
 
 def _naive_search(

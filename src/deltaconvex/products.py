@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, GraphError, _check_vertex_count, vertex_mask
+from .graphs import Graph, GraphError, _check_size, vertex_mask
 from .independence import _c_witness, _e_witness, _members
 
 CARTESIAN = "cartesian"
@@ -48,8 +48,9 @@ def product(g: Graph, h: Graph, kind: str) -> ProductGraph:
     kind = normalize_kind(kind)
     if g.n == 0 or h.n == 0:
         raise GraphError("product factors must be nonempty")
-    _check_vertex_count(g.n * h.n)
-    nh = h.n
+    nh, mg, mh = h.n, len(g.edges), len(h.edges)
+    per_g_edge = nh * nh if kind == LEXICOGRAPHIC else nh + 2 * mh * (kind == STRONG)
+    _check_size(g.n * nh, mg * per_g_edge + mh * g.n)  # before the edge list is built
     edges: list[tuple[int, int]] = []
     if kind == LEXICOGRAPHIC:
         for u, v in g.edges:

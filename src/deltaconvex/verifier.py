@@ -28,6 +28,13 @@ families' ``c <= k+1`` predictions from ever failing. The product rows
 and their factor searches keep the default cap: it is proved in
 ``independence`` and no product theorem is derived from it.
 
+Budget: ``_Case.runs`` runs a search of ``graph`` iff its space, the
+number of candidate sets its pool and cap allow (``search_space``), is
+below 2^budget, and none at a budget <= 0. An uncapped e or h search on
+n vertices has a space of 2^n - 1, so universal and family rows run iff
+n <= budget. An over-budget product row is skipped, and ``cart_*_lb``
+leaves its optional full search out; factor searches are not gated.
+
 ``jobs`` processes run the tasks, the caller included, in static shares:
 the tasks are ordered by a deterministic size (n_G * n_H for a product
 task, n for any other), largest first, and dealt round-robin into
@@ -45,8 +52,9 @@ the calling thread, so ``jobs > 1`` expects a caller without threads.
 Statuses: ``pass`` and ``fail`` compare an exhaustively computed value
 with the prediction; ``hypothesis_unmet`` records that a theorem's
 preconditions do not hold for the graph (never silently dropped);
-``skipped`` marks searches the budget ruled out; ``flagged`` marks
-diagnostic findings that are surfaced without failing the run.
+``skipped`` marks rows whose searches the budget ruled out (Budget
+above); ``flagged`` marks diagnostic findings that are surfaced without
+failing the run.
 """
 
 from __future__ import annotations
@@ -55,8 +63,7 @@ import json
 import operator
 import os
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from math import comb
+from functools import cached_property, partial
 from typing import IO, Callable, Iterable
 
 from .families import (
@@ -76,6 +83,9 @@ from .families import (
 from .graphs import Graph, diameter, is_connected
 from .hull import is_hull_set
 from .independence import (
+    CARATHEODORY,
+    EXCHANGE,
+    HELLY,
     InvariantResult,
     cara_property_iii_violations,
     caratheodory_number,
@@ -83,6 +93,7 @@ from .independence import (
     helly_number,
     is_c_independent,
     is_e_independent,
+    search_space,
 )
 from .products import (
     cartesian_c_witness,
@@ -93,13 +104,6 @@ from .products import (
 )
 
 SUITES = ("universal", "blocks", "chordal", "gadgets", "products")
-
-# Estimated candidate subsets (``_search_cost``) above which a product's
-# full search is skipped, so gc3 box P4 (616,665 for e) gets no full
-# search. The estimate counts sizes up to the triangle caps k + 1 and
-# k + 2, not the smaller component bound the search stops at; it only
-# decides which rows run, and changing it would move report bytes.
-SEARCH_COST_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,13 @@ class TheoremCheck:
 class SuiteConfig:
     """The four ``verify`` settings; identical configs give identical reports.
 
-    ``seed`` picks the corpus's 30 random and 10 chordal graphs, ``budget``
-    bounds the exhaustive searches, ``suites`` selects from ``SUITES`` and
-    ``jobs`` is the number of processes that run the tasks, the caller
-    included: ``min(jobs, tasks) - 1`` forked children, none without
-    ``os.fork``. It never changes the report (module docstring: shares
-    and failure rules).
+    ``seed`` picks the corpus's 30 random and 10 chordal graphs, a
+    ``budget`` of b runs a search only if it may meet fewer than 2^b
+    candidate sets, so it covers any b-vertex graph (module docstring:
+    budget), ``suites`` selects from ``SUITES`` and ``jobs`` is the number
+    of processes that run the tasks, the caller included:
+    ``min(jobs, tasks) - 1`` forked children, none without ``os.fork``. It
+    never changes the report (module docstring: shares and failure rules).
     """
 
     seed: int = 0
@@ -152,29 +157,6 @@ def _verdict(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-# --- budgets -----------------------------------------------------------
-
-def _universal_feasible(g: Graph, budget: int) -> bool:
-    """Cheap feasibility test for the exhaustive c/e/h triple."""
-    if budget <= 0:
-        return False
-    if g.n <= budget:
-        return True
-    return g.triangle_vertex_mask.bit_count() <= budget and g.n <= budget + 4
-
-
-def _search_cost(g: Graph, which: str) -> int:
-    """Candidate-subset count of the pruned c- or e-search."""
-    k = len(g.triangles)
-    if which == "c":
-        cap = min(k + 1, g.n)
-        pool = g.triangle_vertex_mask.bit_count()
-    else:
-        cap = min(k + 2, g.n)
-        pool = g.n
-    return sum(comb(pool, s) for s in range(1, cap + 1))
-
-
 # --- theorem tables ----------------------------------------------------
 
 Outcome = tuple[str, str, str, "str | None"]  # predicted, observed, status, reason
@@ -188,6 +170,7 @@ class _Case:
     universal case (module docstring: caps)."""
 
     graph: Graph
+    budget: int
     g: FamilyInstance | None = None
     h: FamilyInstance | None = None
     uncapped: bool = False
@@ -196,26 +179,30 @@ class _Case:
     def search(self, inv: str, graph: Graph | None = None) -> InvariantResult:
         key = (inv, self.graph if graph is None else graph)
         if key not in self._found:
-            self._found[key] = _search(*key, self.uncapped)
+            fn = {"c": caratheodory_number, "e": exchange_number}.get(inv)
+            self._found[key] = fn(key[1], uncapped=self.uncapped) if fn else helly_number(key[1])
         return self._found[key]
+
+    @cached_property
+    def spaces(self) -> dict[str, int]:
+        """The search space of each invariant on ``graph``, counted once."""
+        kinds = {"c": CARATHEODORY, "e": EXCHANGE, "h": HELLY}
+        return {inv: search_space(self.graph, kinds[inv], self.uncapped) for inv in kinds}
+
+    def runs(self, inv: str) -> bool:
+        """The budget rule: a search runs iff its space is below 2^budget."""
+        return self.budget > 0 and self.spaces[inv].bit_length() <= self.budget
 
     def factors_connected(self) -> bool:
         return all(f.graph.n >= 2 and is_connected(f.graph) for f in (self.g, self.h))
-
-
-def _search(inv: str, g: Graph, uncapped: bool) -> InvariantResult:
-    if inv == "h":
-        return helly_number(g)
-    return {"c": caratheodory_number, "e": exchange_number}[inv](g, uncapped=uncapped)
 
 
 def _full_search(case: _Case, inv: str, predicted: str, expected: int) -> Outcome:
     """Compare the product's exhaustive ``inv`` with ``expected`` if the
     search is affordable. A failing row carries the extremal set, so a
     refuted prediction comes with its machine-checkable counterexample."""
-    cost = _search_cost(case.graph, inv)
-    if cost > SEARCH_COST_LIMIT:
-        reason = f"search cost {cost} over limit {SEARCH_COST_LIMIT}"
+    if not case.runs(inv):
+        reason = f"search space {case.spaces[inv]} over budget 2^{case.budget}"
         return predicted, "not computed", "skipped", reason
     res = case.search(inv)
     ok = res.value == expected
@@ -268,7 +255,7 @@ def _cart_lower_bound(inv: str, case: _Case) -> Outcome:
         verdict = is_c_independent(case.graph, witness)
     ok = verdict.independent and len(witness) == bound
     observed = f"witness size {len(witness)}, independent={verdict.independent}"
-    if _search_cost(case.graph, inv) <= SEARCH_COST_LIMIT:
+    if case.runs(inv):
         value = case.search(inv).value
         ok = ok and value >= bound
         observed += f", {inv}={value}"
@@ -357,22 +344,22 @@ def _skip_all(theorems: Theorems, name: str, predicted: str, reason: str) -> lis
 def verify_graph_universal(inst: FamilyInstance, config: SuiteConfig) -> list[TheoremCheck]:
     """Sierksma inequalities plus the two triangle-count bounds."""
     g = inst.graph
-    if not _universal_feasible(g, config.budget):
-        tv = g.triangle_vertex_mask.bit_count()
-        reason = f"over budget (n={g.n}, triangle vertices={tv}, budget={config.budget})"
+    case = _Case(g, config.budget, uncapped=True)
+    if not all(map(case.runs, "ceh")):
+        reason = f"over budget (n={g.n}, budget={config.budget})"
         return _skip_all(_UNIVERSAL_THEOREMS, g.name, "exhaustive invariants", reason)
-    return _check_all(_UNIVERSAL_THEOREMS, _Case(g, uncapped=True))
+    return _check_all(_UNIVERSAL_THEOREMS, case)
 
 
 def verify_family(inst: FamilyInstance, config: SuiteConfig) -> list[TheoremCheck]:
     """Compare the instance's predicted invariants with brute force."""
     g = inst.graph
     rows: list[TheoremCheck] = []
-    feasible = _universal_feasible(g, config.budget)
-    for inv in sorted(inst.predictions):
-        pred = inst.predictions[inv]
+    case = _Case(g, config.budget, uncapped=True)
+    feasible = all(map(case.runs, inst.predictions))
+    for inv, pred in sorted(inst.predictions.items()):
         if feasible:
-            value = _search(inv, g, uncapped=True).value
+            value = case.search(inv).value
             outcome = f"{inv}={value}", _verdict(pred.holds(value)), None
         else:
             outcome = "not computed", "skipped", f"over budget (n={g.n}, budget={config.budget})"
@@ -401,7 +388,7 @@ def verify_products(
     theorems = _PRODUCT_THEOREMS[kind]
     if config.budget <= 0:
         return _skip_all(theorems, pg.name, "product theorem", "budget is 0")
-    return _check_all(theorems, _Case(pg, gi, hi))
+    return _check_all(theorems, _Case(pg, config.budget, gi, hi))
 
 
 # --- corpus ------------------------------------------------------------

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 from deltaconvex import graph_from_edges, graph_to_json, save_graph
+from deltaconvex import cli
 from deltaconvex.cli import _FAMILIES, main
-from deltaconvex.families import gadget_c, path, random_graph
-from deltaconvex.graphs import MAX_VERTICES
+from deltaconvex.families import complete, gadget_c, path, random_graph
+from deltaconvex.graphs import MAX_EDGES, MAX_VERTICES
 
 
 def _write(tmp_path, name, g):
@@ -170,6 +171,42 @@ def test_huge_family_is_usage_error(tmp_path, capsys, family):
         assert not out.exists()
 
 
+def _unbuilt(family, monkeypatch):
+    """Make ``family``'s generator fail the test if it is ever called."""
+    def generator(*args):
+        raise AssertionError(f"{family}{args} was built")
+    monkeypatch.setitem(_FAMILIES, family, (generator, *_FAMILIES[family][1:]))
+
+
+@pytest.mark.parametrize(
+    "family, params, edges",
+    [
+        ("complete", {"n": MAX_VERTICES}, 134_209_536),
+        ("complete", {"n": 1449}, 1_049_076),
+        ("block_chain", {"sizes": [MAX_VERTICES]}, 134_209_536),
+        ("block_tree", {"chains": [[3], [1000, 1000, 1000]]}, 1_498_503),
+        ("complete_bipartite", {"m": MAX_VERTICES // 2, "n": MAX_VERTICES // 2}, 67_108_864),
+        ("random", {"n": MAX_VERTICES, "p": 0.5}, 67_104_768),
+    ],
+)
+def test_dense_family_is_usage_error(tmp_path, capsys, monkeypatch, family, params, edges):
+    # within the vertex limit, over the edge limit: refused before the
+    # generator would build the edge list
+    _unbuilt(family, monkeypatch)
+    out = tmp_path / "f.json"
+    argv = ["generate", family, "--params", json.dumps(params), "-o", str(out)]
+    assert main(argv) == 2
+    assert f"edge count {edges} is over the limit" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+def test_largest_complete_graph_within_the_edge_limit_reaches_its_generator(monkeypatch):
+    _unbuilt("complete", monkeypatch)
+    assert 1448 * 1447 // 2 <= MAX_EDGES < 1449 * 1448 // 2
+    with pytest.raises(AssertionError, match="was built"):
+        cli._build_family("complete", {"n": 1448}, 0)
+
+
 def test_product_command(tmp_path):
     a = _write(tmp_path, "a.json", graph_from_edges(2, [(0, 1)], name="P2"))
     b = _write(tmp_path, "b.json", graph_from_edges(2, [(0, 1)], name="Q2"))
@@ -189,6 +226,15 @@ def test_product_over_vertex_limit_is_usage_error(tmp_path, capsys):
     out = tmp_path / "prod.json"
     assert main(["product", "--kind", "cartesian", a, b, "-o", str(out)]) == 2
     assert "vertex count 16512 is over the limit" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+def test_product_over_edge_limit_is_usage_error(tmp_path, capsys):
+    # K40 lex K40: 780 * 40 * 40 + 780 * 40 = 1,279,200 edges, 1,600 vertices
+    k40 = _write(tmp_path, "k40.json", complete(40).graph)
+    out = tmp_path / "prod.json"
+    assert main(["product", "--kind", "lex", k40, k40, "-o", str(out)]) == 2
+    assert "edge count 1279200 is over the limit" in _single_error_line(capsys)
     assert not out.exists()
 
 

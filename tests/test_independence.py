@@ -1,6 +1,9 @@
+import os
 import random
-import tracemalloc
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +205,32 @@ def test_max_size_cap_flags_non_exhaustive():
     assert not e_capped.exhaustive and e_capped.value == 2
 
 
+def test_search_space_counts_the_sets_the_search_may_meet():
+    # Pools and caps written out here, independent of ``_plan``: triangle
+    # vertices up to B for c, all vertices up to B + 1 for e and up to n for
+    # h; uncapped, the candidate count (at least 1) for c and e.
+    rng = random.Random(36)
+    graphs = [path(1).graph, path(5).graph, K3, gadget_c(3).graph, gadget_e(2).graph]
+    graphs += [random_graph_raw(rng, rng.randint(1, 9), 0.5) for _ in range(20)]
+    for g in graphs:
+        b = independence.component_bound(g)
+        tri = [v for v in range(g.n) if any(v in t for t in g.triangles)]
+        every = list(range(g.n))
+        for kind, pool, cap, uncapped_cap, search in (
+            (independence.CARATHEODORY, tri, min(b, g.n), max(1, len(tri)), caratheodory_number),
+            (independence.EXCHANGE, every, min(b + 1, g.n), g.n, exchange_number),
+            (independence.HELLY, every, g.n, g.n, None),
+        ):
+            for uncapped, size in ((False, cap), (True, uncapped_cap)):
+                brute = sum(1 for s in range(1, size + 1) for _ in combinations(pool, s))
+                assert independence.search_space(g, kind, uncapped) == brute
+                if search is not None:
+                    assert search(g, uncapped=uncapped).search_bound_used == size
+    # the capped exchange search of gc3 box P4 (B = 3) stops at size 4
+    g = product(gadget_c(3).graph, path(4).graph, "cartesian").graph
+    assert independence.search_space(g, independence.EXCHANGE) == 20 + 190 + 1140 + 4845
+
+
 def test_helly_early_stop_is_exhaustive():
     k4 = complete(4).graph
     res = helly_number(k4)
@@ -215,17 +244,27 @@ def test_helly_search_is_not_limited_by_recursion_depth():
 
 
 def test_helly_search_memory_is_linear_in_depth():
-    # Keeping every level's leave-one-out hulls took about 77 MB here.
-    g = path(1100).graph
-    g.triangle_pairs
-    tracemalloc.start()
-    try:
-        res = helly_number(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.value == 1100
-    assert peak < 40 * 2**20
+    # Peak RSS growth of a fresh process over the search, untraced: about
+    # 17 MB, and about 64 MB when every level keeps its leave-one-out hulls.
+    code = (
+        "import resource, sys\n"
+        "from deltaconvex.families import path\n"
+        "from deltaconvex.independence import helly_number\n"
+        "g = path(1100).graph\n"
+        "g.triangle_pairs\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "value = helly_number(g).value\n"
+        "print(value, peak() - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(independence.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    value, growth = map(int, out.stdout.split())
+    assert value == 1100
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS
+    assert growth * (1 if sys.platform == "darwin" else 1024) < 40 * 2**20
 
 
 def test_only_long_searches_fetch_the_symmetry_group():

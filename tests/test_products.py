@@ -20,7 +20,7 @@ from deltaconvex import (
     triangles,
 )
 from deltaconvex.families import complete, cycle, gadget_c, path
-from deltaconvex.graphs import MAX_VERTICES
+from deltaconvex.graphs import MAX_EDGES, MAX_VERTICES
 from conftest import random_graph_raw
 
 P2 = path(2).graph
@@ -62,6 +62,21 @@ def test_product_over_vertex_limit_is_refused():
     # exactly at the limit is allowed (edge-free factors keep it cheap)
     edgeless = graph_from_edges(128, [])
     assert product(edgeless, edgeless, "cartesian").graph.n == MAX_VERTICES
+
+
+@pytest.mark.parametrize(
+    "kind, m, edges",
+    # K_m x K_m has m^2 (m - 1) Cartesian edges; its strong and
+    # lexicographic products are both K_{m^2}, with C(m^2, 2) edges.
+    [("cartesian", 102, 1_050_804), ("strong", 39, 1_155_960), ("lexicographic", 39, 1_155_960)],
+)
+def test_product_over_edge_limit_is_refused(kind, m, edges):
+    # the smallest K_m x K_m over the limit; refused before its edge list
+    # is built, so a missing check would cost a few hundred MB, not GB
+    assert edges > MAX_EDGES
+    km = complete(m).graph
+    with pytest.raises(GraphError, match=f"edge count {edges} is over the limit"):
+        product(km, km, kind)
 
 
 def test_edge_count_identities():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_report_digests import recorded_digests
 
 from deltaconvex import verifier
 from deltaconvex.families import (
@@ -41,15 +43,15 @@ def test_universal_checks_pass_on_small_graphs():
         assert all(r.status in ("pass", "flagged") for r in rows)
 
 
-def test_universal_checks_skip_over_budget():
-    # K6 exceeds a budget of 3 on both tiers (n and triangle vertices)
-    rows = verify_graph_universal(complete(6), SuiteConfig(budget=3))
-    assert all(r.status == "skipped" for r in rows)
-    assert all("over budget" in r.reason for r in rows)
-    # a triangle-free graph over the vertex budget still qualifies through
-    # the small-pruned-space tier
-    rows = verify_graph_universal(path(5), SuiteConfig(budget=3))
+def test_universal_checks_run_iff_n_is_within_budget():
+    # An uncapped e or h search on n vertices meets 2^n - 1 candidate sets,
+    # so a universal row runs iff that is below 2^budget, i.e. n <= budget.
+    rows = verify_graph_universal(path(5), SuiteConfig(budget=5))
     assert all(r.status in ("pass", "flagged") for r in rows)
+    for inst, budget in ((path(5), 4), (complete(6), 3)):
+        rows = verify_graph_universal(inst, SuiteConfig(budget=budget))
+        reason = f"over budget (n={inst.graph.n}, budget={budget})"
+        assert [(r.status, r.reason) for r in rows] == [("skipped", reason)] * 4
 
 
 def test_family_checks():
@@ -97,9 +99,10 @@ def test_product_checks_cartesian_lower_bounds():
     assert by["cart_pn_e_eq"].status == "hypothesis_unmet"
 
 
-def test_product_search_over_cost_limit_is_skipped(monkeypatch):
-    # gc3 box P4 (20 vertices) meets the path equality's hypothesis, but its
-    # e-search would test 616,665 candidate subsets; only factors are searched
+def test_product_search_over_budget_is_skipped(monkeypatch):
+    # gc3 box P4 (20 vertices, B = 3) meets the path equality's hypothesis,
+    # but its e-search may meet sum C(20, s) for s = 1..4 = 6,195 candidate
+    # sets, over 2^12; only the factors are searched. At budget 13 it runs.
     searched = []
     for name in ("caratheodory_number", "exchange_number"):
         search = getattr(verifier, name)
@@ -109,8 +112,26 @@ def test_product_search_over_cost_limit_is_skipped(monkeypatch):
     rows = verify_products(gadget_c(3), path(4), "cartesian", SuiteConfig())
     by = {r.theorem_id: r for r in rows}
     assert by["cart_pn_e_eq"].status == "skipped"
-    assert by["cart_pn_e_eq"].reason == "search cost 616665 over limit 200000"
+    assert by["cart_pn_e_eq"].reason == "search space 6195 over budget 2^12"
     assert searched and 20 not in searched
+    rows = verify_products(gadget_c(3), path(4), "cartesian", SuiteConfig(budget=13))
+    by = {r.theorem_id: r for r in rows}
+    assert by["cart_pn_e_eq"].status == "fail"
+    assert 20 in searched
+
+
+def test_skipped_rows_never_grow_with_the_budget():
+    skipped = []
+    for budget in range(13):
+        report = run_suite(SuiteConfig(budget=budget))
+        skipped.append(report.summary["skipped"])
+        if budget == 0:
+            assert skipped[0] == report.summary["total"]
+    assert skipped == sorted(skipped, reverse=True)
+    assert skipped[-1] == 0
+    # budget 12 is the default, whose report bytes are pinned
+    lines = "".join(line + "\n" for line in report.lines()).encode()
+    assert hashlib.sha256(lines).hexdigest() == recorded_digests()[0]
 
 
 def test_product_checks_path_equalities():
