@@ -37,7 +37,7 @@ from .independence import (
     naive_exchange_number,
     naive_helly_number,
 )
-from .products import product
+from .products import ALIASES, KINDS, product
 from .verifier import SUITES, SuiteConfig, run_suite, write_report
 
 
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_generate)
 
     p_prod = sub.add_parser("product", help="graph product of two graphs")
-    p_prod.add_argument("--kind", required=True, choices=("cartesian", "strong", "lex"))
+    p_prod.add_argument("--kind", required=True, choices=KINDS + tuple(ALIASES))
     p_prod.add_argument("left")
     p_prod.add_argument("right")
     p_prod.add_argument("-o", "--output", required=True)

@@ -197,6 +197,30 @@ class Graph:
         return tuple(map(tuple, links)), tuple(masks), tuple(members)
 
     @cached_property
+    def triangle_components(self) -> tuple[tuple[int, int], ...]:
+        """The classes of triangles joined by shared vertices, as
+        ``(vertex mask, triangle count)`` pairs ordered by least vertex,
+        from one union-find over the vertices of the triangles."""
+        root = list(range(self.n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for a, b, c in self.triangles:
+            ra = find(a)
+            root[find(b)] = ra
+            root[find(c)] = ra
+        # Triangles come sorted, so a class's first one holds its least vertex.
+        comps: dict[int, list[int]] = {}
+        for t, tm in zip(self.triangles, self.triangle_masks):
+            comp = comps.setdefault(find(t[0]), [0, 0])
+            comp[0] |= tm
+            comp[1] += 1
+        return tuple(map(tuple, comps.values()))
+
+    @cached_property
     def triangle_vertex_mask(self) -> int:
         m = 0
         for tm in self.triangle_masks:
@@ -613,7 +637,10 @@ def graph_from_json(text: str) -> Graph:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
             raise GraphError(f"graph JSON edge {e!r} is not a pair of integer vertex ids")
-    return Graph(n, [tuple(e) for e in edges], str(data.get("name", "")))
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise GraphError(f'graph JSON "name" must be a string or null, got {name!r}')
+    return Graph(n, [tuple(e) for e in edges], name or "")
 
 
 def _is_int(x: object) -> bool:

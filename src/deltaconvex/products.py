@@ -20,11 +20,11 @@ STRONG = "strong"
 LEXICOGRAPHIC = "lexicographic"
 KINDS = (CARTESIAN, STRONG, LEXICOGRAPHIC)
 
-_ALIASES = {"lex": LEXICOGRAPHIC, "box": CARTESIAN}
+ALIASES = {"lex": LEXICOGRAPHIC, "box": CARTESIAN}
 
 
 def normalize_kind(kind: str) -> str:
-    kind = _ALIASES.get(kind, kind)
+    kind = ALIASES.get(kind, kind)
     if kind not in KINDS:
         raise GraphError(f"unknown product kind {kind!r}; use one of {KINDS}")
     return kind

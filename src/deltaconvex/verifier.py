@@ -35,9 +35,13 @@ n vertices has a space of 2^n - 1, so universal and family rows run iff
 n <= budget. An over-budget product row is skipped, and ``cart_*_lb``
 leaves its optional full search out; factor searches are not gated.
 
+Tasks: each is a ``(size, call)`` pair. ``call()`` returns its rows; it
+is a ``partial`` of a ``verify_*`` function over one instance or product
+case, made when ``run_suite`` runs, so rebinding those names reaches
+every task. ``size`` is n_G * n_H for a product task, n for any other.
+
 ``jobs`` processes run the tasks, the caller included, in static shares:
-the tasks are ordered by a deterministic size (n_G * n_H for a product
-task, n for any other), largest first, and dealt round-robin into
+the tasks are ordered by size, largest first, and dealt round-robin into
 ``min(jobs, tasks)`` shares. The caller forks one child per share past
 the first and runs share 0 itself; each child sends its rows back as one
 pickled message on a pipe and leaves by ``os._exit``. Rows are placed by
@@ -490,43 +494,26 @@ def build_corpus(seed: int) -> Corpus:
 
 # --- suite driver ------------------------------------------------------
 
-def _collect_tasks(config: SuiteConfig, corpus: Corpus) -> list[tuple]:
-    """``(config, tag, payload)`` tuples of plain data, in ``SUITES`` order."""
+Task = tuple[int, Callable[[], list[TheoremCheck]]]  # size, call (module docstring: tasks)
+
+
+def _collect_tasks(config: SuiteConfig, corpus: Corpus) -> list[Task]:
+    """The selected suites' tasks, in ``SUITES`` order."""
+    def each(verify: Callable, instances: Iterable[FamilyInstance]) -> list[Task]:
+        return [(inst.graph.n, partial(verify, inst, config)) for inst in instances]
+
     by_suite = {
-        "universal": (
-            ("universal", corpus.universal_instances()),
-            ("family", [inst for inst in corpus.base if inst.predictions]),
-        ),
-        "blocks": (("family", corpus.blocks),),
-        "chordal": (("family", corpus.chordal),),
-        "gadgets": (("family", corpus.gadgets),),
-        "products": (("products", corpus.product_cases),),
+        "universal": each(verify_graph_universal, corpus.universal_instances())
+        + each(verify_family, [inst for inst in corpus.base if inst.predictions]),
+        "blocks": each(verify_family, corpus.blocks),
+        "chordal": each(verify_family, corpus.chordal),
+        "gadgets": each(verify_family, corpus.gadgets),
+        "products": [
+            (gi.graph.n * hi.graph.n, partial(verify_products, gi, hi, kind, config))
+            for gi, hi, kind in corpus.product_cases
+        ],
     }
-    return [
-        (config, tag, payload)
-        for suite in SUITES
-        if suite in config.suites
-        for tag, payloads in by_suite[suite]
-        for payload in payloads
-    ]
-
-
-def _execute_task(task: tuple) -> list[TheoremCheck]:
-    config, tag, payload = task
-    if tag == "universal":
-        return verify_graph_universal(payload, config)
-    if tag == "family":
-        return verify_family(payload, config)
-    return verify_products(*payload, config)
-
-
-def _size_key(task: tuple) -> int:
-    """A task's deterministic size: n_G * n_H for a product, else n."""
-    _, tag, payload = task
-    if tag == "products":
-        gi, hi, _ = payload
-        return gi.graph.n * hi.graph.n
-    return payload.graph.n
+    return [task for suite in SUITES if suite in config.suites for task in by_suite[suite]]
 
 
 def _shares(sizes: list[int], workers: int) -> list[list[int]]:
@@ -536,7 +523,7 @@ def _shares(sizes: list[int], workers: int) -> list[list[int]]:
     return [order[w::workers] for w in range(workers)]
 
 
-def _run_child(tasks: list[tuple], share: list[int], fd: int, inherited: list[int]) -> None:
+def _run_child(tasks: list[Task], share: list[int], fd: int, inherited: list[int]) -> None:
     """In a forked child: close the ``inherited`` pipe ends, run ``share``
     and send its rows, or its error, to ``fd``.
 
@@ -551,7 +538,7 @@ def _run_child(tasks: list[tuple], share: list[int], fd: int, inherited: list[in
         for other in inherited:
             os.close(other)
         try:
-            message = ("rows", [_execute_task(tasks[i]) for i in share])
+            message = ("rows", [tasks[i][1]() for i in share])
             code = 0
         except Exception as exc:
             try:
@@ -594,15 +581,15 @@ def _receive(pid: int, fd: int) -> list[list[TheoremCheck]]:
     raise exc from remote
 
 
-def _run_shares(tasks: list[tuple], workers: int) -> list[list[TheoremCheck]]:
+def _run_shares(tasks: list[Task], workers: int) -> list[list[TheoremCheck]]:
     """Each task's rows, in task order, from ``workers`` static shares:
     the caller runs share 0 and one forked child runs each of the others."""
     fork = getattr(os, "fork", None)
     if workers <= 1 or fork is None:
-        return [_execute_task(t) for t in tasks]
+        return [call() for _, call in tasks]
     import signal  # here and in the helpers: a serial run imports none of it
 
-    shares = _shares([_size_key(t) for t in tasks], workers)
+    shares = _shares([size for size, _ in tasks], workers)
     results: list = [None] * len(tasks)
     unread: dict[int, int] = {}  # child pid -> read end of its pipe
     try:
@@ -614,7 +601,7 @@ def _run_shares(tasks: list[tuple], workers: int) -> list[list[TheoremCheck]]:
             os.close(fd_write)
             unread[pid] = fd_read
         for i in shares[0]:
-            results[i] = _execute_task(tasks[i])
+            results[i] = tasks[i][1]()
         for (pid, fd), share in zip(list(unread.items()), shares[1:]):
             del unread[pid]
             for i, rows in zip(share, _receive(pid, fd)):

@@ -220,6 +220,37 @@ def test_product_command(tmp_path):
     assert "encoding" in data
 
 
+def test_null_graph_name_survives_a_product_round_trip(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text('{"name": null, "n": 2, "edges": [[0, 1]]}')
+    b = _write(tmp_path, "b.json", graph_from_edges(2, [(0, 1)], name="P2"))
+    out = tmp_path / "prod.json"
+    assert main(["product", "--kind", "cartesian", str(a), b, "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    # an unnamed factor is called G (left) or H (right), never "None"
+    assert data["name"] == "G [cartesian] P2"
+    assert [f["name"] for f in data["factors"]] == ["", "P2"]
+    # the product file reads back as a graph
+    assert main(["product", "--kind", "cartesian", str(out), str(a), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["name"] == "G [cartesian] P2 [cartesian] H"
+    a.write_text('{"name": 7, "n": 2, "edges": [[0, 1]]}')
+    assert main(["product", "--kind", "cartesian", str(a), b, "-o", str(out)]) == 2
+    assert '"name" must be a string or null, got 7' in _single_error_line(capsys)
+
+
+def test_product_kind_aliases_write_the_same_file(tmp_path):
+    a = _write(tmp_path, "a.json", path(3).graph)
+    b = _write(tmp_path, "b.json", complete(3).graph)
+    for kind, alias in (("lexicographic", "lex"), ("cartesian", "box")):
+        texts = []
+        for name in (kind, alias):
+            out = tmp_path / f"{name}.json"
+            assert main(["product", "--kind", name, a, b, "-o", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["kind"] == kind
+
+
 def test_product_over_vertex_limit_is_usage_error(tmp_path, capsys):
     a = _write(tmp_path, "a.json", path(129).graph)
     b = _write(tmp_path, "b.json", path(128).graph)

@@ -26,6 +26,8 @@ from deltaconvex.graphs import (
     automorphisms,
     graph_from_text,
     iter_bits,
+    lowest_bit,
+    parse_graph,
     set_from_mask,
     vertex_mask,
 )
@@ -141,6 +143,59 @@ def test_edges_on_no_triangle_have_no_class_entry():
     # two triangles that share only a vertex stay two classes
     bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert bowtie.triangle_classes[1] == (0b00111, 0b11100)
+
+
+def _naive_vertex_components(g):
+    """(vertex mask, triangle count) per class of triangles joined by a
+    shared vertex, by a breadth-first search over triangles, ordered by
+    least vertex."""
+    out, seen = [], set()
+    for start in g.triangles:
+        if start in seen:
+            continue
+        seen.add(start)
+        todo, found = [start], []
+        while todo:
+            t = todo.pop()
+            found.append(t)
+            for u in g.triangles:
+                if u not in seen and set(t) & set(u):
+                    seen.add(u)
+                    todo.append(u)
+        out.append((vertex_mask(v for t in found for v in t), len(found)))
+    return tuple(sorted(out, key=lambda comp: lowest_bit(comp[0])))
+
+
+def test_triangle_components_match_naive_search_on_all_small_graphs():
+    # every labelled graph on at most 6 vertices
+    pairs = list(combinations(range(6), 2))
+    graphs = [
+        Graph(6, [e for i, e in enumerate(pairs) if code >> i & 1]) for code in range(1 << 15)
+    ]
+    for n in range(6):
+        small = list(combinations(range(n), 2))
+        graphs += [
+            Graph(n, [e for i, e in enumerate(small) if code >> i & 1])
+            for code in range(1 << len(small))
+        ]
+    shapes = set()
+    for g in graphs:
+        comps = g.triangle_components
+        assert comps == _naive_vertex_components(g), g.edges
+        shapes.add(len(comps))
+    assert shapes == {0, 1, 2}
+
+
+def test_triangle_components_of_named_graphs():
+    bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    # one component, though its triangles share no edge: two edge classes
+    assert bowtie.triangle_components == ((0b11111, 2),)
+    assert [m for m in bowtie.triangle_classes[1] if m] == [0b00111, 0b11100]
+    two = graph_from_edges(7, [(0, 4), (4, 6), (0, 6), (1, 2), (2, 3), (1, 3), (3, 5)])
+    assert two.triangle_components == ((0b1010001, 1), (0b0001110, 1))
+    assert K4.triangle_components == ((0b1111, 4),)
+    for g in (P4, cycle(6).graph, Graph(0, []), Graph(3, [])):
+        assert g.triangle_components == ()
 
 
 def test_set_from_mask_matches_iter_bits():
@@ -318,6 +373,15 @@ def test_json_round_trip():
     )
     g = graph_from_json(text)
     assert g == K4
+
+
+def test_json_name_may_be_null_or_missing_but_not_another_type():
+    for text in ('{"name": null, "n": 2, "edges": [[0, 1]]}', '{"n": 2, "edges": [[0, 1]]}'):
+        g = parse_graph(text)
+        assert g.name == "" and g.edges == ((0, 1),)
+    for bad in ("1", "0", "false", '["P2"]', "{}"):
+        with pytest.raises(GraphError, match='"name" must be a string or null'):
+            parse_graph(f'{{"name": {bad}, "n": 2, "edges": [[0, 1]]}}')
 
 
 def test_text_format():

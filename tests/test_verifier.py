@@ -295,6 +295,18 @@ def test_run_suite_without_fork_runs_serially(monkeypatch):
     assert run_suite(_blocks_config(jobs=2)).lines() == serial
 
 
+def test_tasks_carry_their_size_and_call():
+    config = SuiteConfig(suites=("products", "gadgets"))
+    corpus = build_corpus(config.seed)
+    tasks = verifier._collect_tasks(config, corpus)
+    # in SUITES order, whatever the order of config.suites
+    assert [size for size, _ in tasks] == [inst.graph.n for inst in corpus.gadgets] + [
+        gi.graph.n * hi.graph.n for gi, hi, _ in corpus.product_cases
+    ]
+    assert tasks[0][1]() == verifier.verify_family(corpus.gadgets[0], config)
+    assert tasks[-1][1]() == verifier.verify_products(*corpus.product_cases[-1], config)
+
+
 def test_shares_hold_every_task_once_largest_first():
     for count in range(21):
         sizes = [(i * 7) % 5 + 2 for i in range(count)]
