@@ -87,12 +87,18 @@ def h_layer(p: ProductGraph, g_anchor: int) -> frozenset[int]:
     return frozenset(p.encode(g_anchor, hv) for hv in range(p.h.n))
 
 
+def _decoded(p: ProductGraph, v: int) -> tuple[int, int]:
+    if not 0 <= v < p.graph.n:
+        raise GraphError(f"product vertex {v} out of range 0..{p.graph.n - 1}")
+    return p.decode(v)
+
+
 def project_g(p: ProductGraph, vertices: Iterable[int]) -> frozenset[int]:
-    return frozenset(p.decode(v)[0] for v in vertices)
+    return frozenset(_decoded(p, v)[0] for v in vertices)
 
 
 def project_h(p: ProductGraph, vertices: Iterable[int]) -> frozenset[int]:
-    return frozenset(p.decode(v)[1] for v in vertices)
+    return frozenset(_decoded(p, v)[1] for v in vertices)
 
 
 def has_edge_vertex_property(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,7 @@ from deltaconvex import (
     is_two_connected,
     triangles,
 )
+from deltaconvex import graphs
 from deltaconvex.families import block_chain, complete, cycle, gadget_c, path, two_connected_chordal
 from deltaconvex.graphs import (
     SYMMETRY_LIMIT,
@@ -417,6 +419,77 @@ def test_automorphisms_match_networkx():
         assert set(maps) | {tuple(range(g.n))} == expected
         checked += 1
     assert checked > 300
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_automorphisms_match_networkx_on_products_and_larger_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    graphs_to_check = []
+    for _ in range(60):
+        f = random_graph_raw(rng, rng.randint(2, 4), rng.choice([0.4, 0.7]))
+        h = random_graph_raw(rng, rng.randint(2, 3), rng.choice([0.4, 0.7]))
+        kind = rng.choice(["cartesian", "strong", "lexicographic"])
+        graphs_to_check.append(_relabelled(product(f, h, kind).graph, rng))
+    for _ in range(60):
+        graphs_to_check.append(random_graph_raw(rng, rng.randint(9, 12), rng.choice([0.2, 0.4, 0.6])))
+    checked = set()
+    for g in graphs_to_check:
+        maps = automorphisms(g, SYMMETRY_LIMIT)
+        if len(maps) == SYMMETRY_LIMIT:
+            continue  # capped: only a subset of the group
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        expected = {
+            tuple(m[v] for v in range(g.n))
+            for m in nx.algorithms.isomorphism.GraphMatcher(ng, ng).isomorphisms_iter()
+        }
+        assert len(set(maps)) == len(maps)
+        assert set(maps) | {tuple(range(g.n))} == expected
+        checked.add((g.n >= 9, len(maps) > 0))
+    assert checked == {(False, True), (True, False), (True, True)}
+
+
+def test_automorphism_search_stops_after_its_step_budget(monkeypatch):
+    monkeypatch.setattr(graphs, "_AUTOMORPHISM_STEPS", 100)
+    g = complete(7).graph
+    maps = automorphisms(g, 50)
+    assert 0 < len(maps) < 50
+    assert len(set(maps)) == len(maps)
+    assert tuple(range(7)) not in maps
+    assert all(_preserves_edges(g, m) for m in maps)
+
+
+def test_automorphism_search_memory_is_linear():
+    g = Graph(1100, [])
+    tracemalloc.start()
+    try:
+        maps = automorphisms(g, SYMMETRY_LIMIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == SYMMETRY_LIMIT
+    # The 256 maps returned take 2.3 MB of it.
+    assert peak < 8 * 2**20
+
+
+def test_vertex_queries_refuse_non_vertices():
+    p3 = path(3).graph
+    for v in (-1, 3):
+        with pytest.raises(GraphError, match=f"vertex {v} out of range 0..2"):
+            p3.neighbors(v)
+        with pytest.raises(GraphError, match=f"vertex {v} out of range 0..2"):
+            p3.degree(v)
+        assert not p3.has_edge(0, v) and not p3.has_edge(v, 0) and not p3.has_edge(v, v)
+    assert p3.neighbors(0) == {1} and p3.neighbors(2) == {1}
+    assert p3.degree(0) == 1 and p3.degree(2) == 1
+    assert p3.has_edge(0, 1) and p3.has_edge(2, 1) and not p3.has_edge(0, 2)
 
 
 def test_blocks_chordality_and_products_match_networkx():

@@ -147,6 +147,15 @@ def test_projections():
     assert project_g(p, []) == frozenset()
 
 
+def test_projections_refuse_non_vertices():
+    p = product(P2, P2, "cartesian")
+    for v in (-1, 4, 100):
+        for project in (project_g, project_h):
+            with pytest.raises(GraphError, match=f"product vertex {v} out of range 0..3"):
+                project(p, [0, v])
+    assert project_g(p, [3]) == {1} and project_h(p, [3]) == {1}
+
+
 def test_encode_decode_round_trip():
     p = product(P4, K3, "strong")
     for gv in range(4):
