@@ -12,6 +12,8 @@ optionally with a pendant vertex attached to the first chain vertex.
 Because the structures are reconstructed, every hull identity they must
 satisfy is asserted at construction time; a failure raises
 ReconstructionError instead of silently producing a wrong gadget.
+Every generator first checks the size its parameters give (the expected
+edge count if seeded) and raises GraphError before it builds an oversize one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, is_block_graph, is_chordal, is_two_connected
+from .graphs import Graph, _check_size, is_block_graph, is_chordal, is_two_connected
 from .hull import delta_hull
 
 
@@ -78,7 +80,13 @@ def _complete_edges(vertices: list[int]) -> list[tuple[int, int]]:
     return list(combinations(vertices, 2))
 
 
+def _check_blocks(sizes: list[int]) -> None:
+    """Check the size of a tree of complete blocks of ``sizes``."""
+    _check_size(1 + sum(s - 1 for s in sizes), sum(s * (s - 1) // 2 for s in sizes))
+
+
 def path(n: int) -> FamilyInstance:
+    _check_size(n, n - 1)
     if n < 1:
         raise FamilyError(f"path needs n >= 1, got {n}")
     g = Graph(n, [(i, i + 1) for i in range(n - 1)], name=f"P{n}")
@@ -89,6 +97,7 @@ def path(n: int) -> FamilyInstance:
 
 
 def cycle(n: int) -> FamilyInstance:
+    _check_size(n, n)
     if n < 3:
         raise FamilyError(f"cycle needs n >= 3, got {n}")
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C{n}")
@@ -106,6 +115,7 @@ def cycle(n: int) -> FamilyInstance:
 
 
 def complete(n: int) -> FamilyInstance:
+    _check_size(n, n * (n - 1) // 2)
     if n < 1:
         raise FamilyError(f"complete needs n >= 1, got {n}")
     g = Graph(n, _complete_edges(list(range(n))), name=f"K{n}")
@@ -122,6 +132,7 @@ def complete(n: int) -> FamilyInstance:
 
 
 def complete_bipartite(m: int, n: int) -> FamilyInstance:
+    _check_size(m + n, m * n)
     if m < 1 or n < 1:
         raise FamilyError(f"complete_bipartite needs both sides >= 1, got {m}, {n}")
     edges = [(u, m + v) for u in range(m) for v in range(n)]
@@ -144,6 +155,7 @@ def _longest_big_run(sizes: list[int]) -> int:
 def block_chain(sizes: list[int]) -> FamilyInstance:
     """Chain of complete blocks; consecutive blocks share one cut vertex."""
     sizes = list(sizes)
+    _check_blocks(sizes)
     if not sizes:
         raise FamilyError("block_chain needs at least one block")
     for s in sizes:
@@ -184,6 +196,7 @@ def block_tree(chains: list[list[int]]) -> FamilyInstance:
     chain runs through the root across the two longest legs.
     """
     chains = [list(c) for c in chains]
+    _check_blocks([s for c in chains for s in c])
     if len(chains) < 2:
         raise FamilyError("block_tree needs at least two chains")
     for chain in chains:
@@ -226,6 +239,7 @@ def block_tree(chains: list[list[int]]) -> FamilyInstance:
 def two_connected_chordal(n: int, seed: int) -> FamilyInstance:
     """Seeded 2-connected chordal graph: grow from a triangle by attaching
     each new vertex to a randomly chosen existing clique of size >= 2."""
+    _check_size(n, 3 * n)  # the expected edge count is below 3 per vertex
     if n < 3:
         raise FamilyError(f"two_connected_chordal needs n >= 3, got {n}")
     rng = random.Random(seed)
@@ -271,6 +285,7 @@ def gadget_c(n: int) -> FamilyInstance:
     Chain vertices a_1..a_n take indices 0..n-1, interior apexes b_1..b_{n-2}
     take n..2n-3, and the terminal apex b is 2n-2.
     """
+    _check_size(2 * n - 1, 3 * (n - 1))
     if n < 3:
         raise FamilyError(f"gadget_c needs n >= 3, got {n}")
     tris = _chain_triangles(n, n)
@@ -322,6 +337,7 @@ def gadget_e(k: int) -> FamilyInstance:
     apexes b_1..b_k (indices k+1..2k), plus a pendant vertex (index 2k+1)
     adjacent only to a_1.
     """
+    _check_size(2 * k + 2, 3 * k + 1)
     if k < 1:
         raise FamilyError(f"gadget_e needs k >= 1, got {k}")
     tris = _chain_triangles(k + 1, k + 1)
@@ -364,6 +380,9 @@ def random_graph(n: int, edge_probability: float, seed: int) -> FamilyInstance:
         raise FamilyError(f"random_graph needs n >= 1, got {n}")
     if not 0.0 <= edge_probability <= 1.0:
         raise FamilyError(f"edge probability must be in [0, 1], got {edge_probability}")
+    # The expected edge count, in integers, so no n overflows.
+    num, den = edge_probability.as_integer_ratio()
+    _check_size(n, num * n * (n - 1) // (2 * den))
     rng = random.Random(seed)
     edges = [
         (u, v)

@@ -24,9 +24,9 @@ order:
   an internal edge before it is tested;
 * Helly independence is hereditary, so the Helly search cuts the subtree
   of every dependent set, and the sizes it finds run from 1 up;
-* sizes are capped by the component bound B below, or with
-  ``uncapped=True`` by the candidate counts (``_plan`` defines each pool
-  and cap). The verifier searches uncapped wherever it checks the triangle
+* ``max_size`` is the largest size searched, by default the proven cap
+  (``_plan``): the component bound B below for c, B + 1 for e, n for h.
+  The verifier passes ``max_size=n`` wherever it checks the triangle
   bounds c <= k+1 and e <= k+2 (k triangles), since B is proved by the
   same argument and a cap at B could never let those checks fail;
 * open-size rule: a size is open until its first independent set is
@@ -109,9 +109,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .graphs import Graph, GraphError, iter_bits, lowest_bit, set_from_mask, vertex_mask
 from .hull import extend_hull, hull_mask
 
-CARATHEODORY = "caratheodory"
-EXCHANGE = "exchange"
-HELLY = "helly"
+CARATHEODORY = "c"
+EXCHANGE = "e"
+HELLY = "h"
 
 # A search fetches its graph's automorphisms for the symmetry cut only
 # after making this many nodes, so the many small searches never pay for
@@ -140,11 +140,10 @@ class IndependenceVerdict:
 class InvariantResult:
     """Invariant value with its certifying set.
 
-    ``search_bound_used`` is the largest set size the search considered:
+    ``search_bound_used`` is the largest set size the search considered,
     the cap of ``_plan`` (for Helly, one above the value once a size has
-    none), or ``max_size`` where that is smaller. ``exhaustive`` is False
-    when ``max_size`` fell below that cap, in which case ``value`` is only
-    a lower bound.
+    none). ``exhaustive`` is False when that cap fell below the proven
+    cap, in which case ``value`` is only a lower bound.
     """
 
     value: int
@@ -418,56 +417,47 @@ def component_bound(g: Graph) -> int:
     )
 
 
-def _plan(g: Graph, kind: str, uncapped: bool = False) -> tuple[list[int], int]:
-    """The candidate pool of a ``kind`` search, ascending, and its size cap:
-    the triangle vertices up to min(B, n) for Caratheodory, all vertices up
-    to min(B + 1, n) for exchange and up to n for Helly, with
-    B = ``component_bound(g)`` (module docstring, "Component bound", for
-    the proof). ``uncapped`` makes the c and e caps the pool size (at least
-    1), a cap that uses no bound."""
+def _plan(g: Graph, kind: str, max_size: int | None = None) -> tuple[list[int], int, int]:
+    """(pool, cap, proven cap) of a ``kind`` search: the triangle vertices
+    (c) or all vertices, ascending; max(1, min(max_size, pool size)), or
+    the proven cap if ``max_size`` is None; and min(B, n), min(B + 1, n) or
+    n for c, e or h, B = ``component_bound(g)`` ("Component bound" above)."""
     if g.n == 0:
         raise GraphError("invariants are undefined for the empty graph")
     pool = list(iter_bits(g.triangle_vertex_mask) if kind == CARATHEODORY else range(g.n))
-    if uncapped or kind == HELLY:
-        return pool, max(1, len(pool))
-    return pool, min(component_bound(g) + (kind == EXCHANGE), g.n)
+    proven = g.n if kind == HELLY else min(component_bound(g) + (kind == EXCHANGE), g.n)
+    cap = proven if max_size is None else max(1, min(max_size, len(pool)))
+    return pool, cap, proven
 
 
-def search_space(g: Graph, kind: str, uncapped: bool = False) -> int:
+def search_space(g: Graph, kind: str, max_size: int | None = None) -> int:
     """The number of subsets of a ``kind`` search's pool with sizes 1 to
     its cap (``_plan``): the candidate sets it may meet before any cut."""
-    pool, cap = _plan(g, kind, uncapped)
+    pool, cap, _ = _plan(g, kind, max_size)
     if cap >= len(pool):
         return (1 << len(pool)) - 1
     return sum(comb(len(pool), s) for s in range(1, cap + 1))
 
 
-def _planned_search(
-    g: Graph, kind: str, lo: int, max_size: int | None, uncapped: bool = False
-) -> InvariantResult:
+def _planned_search(g: Graph, kind: str, lo: int, max_size: int | None) -> InvariantResult:
     """The largest set ``_lex_search`` finds over the plan of ``kind`` from
-    size ``lo``, capped at ``max_size``; as every set below ``lo`` is
-    independent, the first of size min(lo - 1, cap) if it finds none."""
-    pool, bound = _plan(g, kind, uncapped)
-    cap = bound if max_size is None else max(1, min(bound, max_size))
+    size ``lo``; as every set below ``lo`` is independent, the first of
+    size min(lo - 1, cap) if it finds none."""
+    pool, cap, proven = _plan(g, kind, max_size)
     found = _lex_search(g, kind, pool, lo, cap)
     size = max(found, default=min(lo - 1, cap))
     best = set_from_mask(found.get(size, (1 << size) - 1))
-    return InvariantResult(size, best, cap >= bound, cap)
+    return InvariantResult(size, best, cap >= proven, cap)
 
 
-def caratheodory_number(
-    g: Graph, max_size: int | None = None, *, uncapped: bool = False
-) -> InvariantResult:
+def caratheodory_number(g: Graph, max_size: int | None = None) -> InvariantResult:
     """Maximum size of a Caratheodory-independent set (pruned search)."""
-    return _planned_search(g, CARATHEODORY, 2, max_size, uncapped)
+    return _planned_search(g, CARATHEODORY, 2, max_size)
 
 
-def exchange_number(
-    g: Graph, max_size: int | None = None, *, uncapped: bool = False
-) -> InvariantResult:
+def exchange_number(g: Graph, max_size: int | None = None) -> InvariantResult:
     """Maximum size of an exchange-independent set (pruned search)."""
-    return _planned_search(g, EXCHANGE, 3, max_size, uncapped)
+    return _planned_search(g, EXCHANGE, 3, max_size)
 
 
 def helly_number(g: Graph, max_size: int | None = None) -> InvariantResult:
@@ -519,9 +509,9 @@ def naive_helly_number(g: Graph, max_size: int | None = None) -> InvariantResult
 
 def sierksma_check(g: Graph) -> tuple[bool, tuple[int, int, int]]:
     """Check e - 1 <= c <= max(h, e - 1) on exhaustively computed values,
-    from c and e searched ``uncapped``."""
-    c = caratheodory_number(g, uncapped=True)
-    e = exchange_number(g, uncapped=True)
+    from c and e searched up to size n."""
+    c = caratheodory_number(g, max_size=g.n)
+    e = exchange_number(g, max_size=g.n)
     h = helly_number(g)
     holds = e.value - 1 <= c.value <= max(h.value, e.value - 1)
     return holds, (c.value, e.value, h.value)

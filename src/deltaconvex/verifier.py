@@ -19,21 +19,20 @@ once per task. Checks reach searches, witnesses and graph queries through
 module globals at call time, so rebinding those names (as the benchmark's
 tracer does) sees every call.
 
-Caps: the c and e searches of the universal rows (``sierksma``, the two
-triangle bounds, ``cara_prop_iii``) and of the family rows run
-``uncapped``, up to their candidate counts, since the default cap is the
-component bound, which the triangle bounds' own argument proves and which
-would keep ``cara_triangle_bound``, ``exch_triangle_bound`` and the
-families' ``c <= k+1`` predictions from ever failing. The product rows
-and their factor searches keep the default cap: it is proved in
-``independence`` and no product theorem is derived from it.
+Caps: the searches of the universal rows (``sierksma``, the two triangle
+bounds, ``cara_prop_iii``) and of the family rows pass ``max_size=n``, as
+the default cap, the component bound, is proved by the triangle bounds'
+own argument and would keep ``cara_triangle_bound``,
+``exch_triangle_bound`` and the families' ``c <= k+1`` predictions from
+ever failing. The product rows and their factor searches keep the default
+cap: it is proved in ``independence`` and no product theorem rests on it.
 
 Budget: ``_Case.runs`` runs a search of ``graph`` iff its space, the
 number of candidate sets its pool and cap allow (``search_space``), is
-below 2^budget, and none at a budget <= 0. An uncapped e or h search on
-n vertices has a space of 2^n - 1, so universal and family rows run iff
-n <= budget. An over-budget product row is skipped, and ``cart_*_lb``
-leaves its optional full search out; factor searches are not gated.
+below 2^budget, and none at a budget <= 0. An e or h search to size n
+has a space of 2^n - 1, so universal and family rows run iff n <= budget.
+An over-budget product row is skipped, and ``cart_*_lb`` leaves its
+optional full search out; factor searches are not gated.
 
 Tasks: each is a ``(size, call)`` pair. ``call()`` returns its rows; it
 is a ``partial`` of a ``verify_*`` function over one instance or product
@@ -87,9 +86,6 @@ from .families import (
 from .graphs import Graph, diameter, is_connected
 from .hull import is_hull_set
 from .independence import (
-    CARATHEODORY,
-    EXCHANGE,
-    HELLY,
     InvariantResult,
     cara_property_iii_violations,
     caratheodory_number,
@@ -170,28 +166,30 @@ Outcome = tuple[str, str, str, "str | None"]  # predicted, observed, status, rea
 class _Case:
     """The graphs one task checks: ``graph`` itself (the product, for a
     product case) and the factor instances ``g`` and ``h``; each
-    (invariant, graph) search runs at most once, ``uncapped`` for a
-    universal case (module docstring: caps)."""
+    (invariant, graph) search runs at most once, to size n in a case
+    without factors, else to the proven cap (module docstring: caps)."""
 
     graph: Graph
     budget: int
     g: FamilyInstance | None = None
     h: FamilyInstance | None = None
-    uncapped: bool = False
     _found: dict[tuple[str, Graph], InvariantResult] = field(default_factory=dict, init=False)
+
+    @property
+    def max_size(self) -> int | None:
+        return self.graph.n if self.g is None else None
 
     def search(self, inv: str, graph: Graph | None = None) -> InvariantResult:
         key = (inv, self.graph if graph is None else graph)
         if key not in self._found:
-            fn = {"c": caratheodory_number, "e": exchange_number}.get(inv)
-            self._found[key] = fn(key[1], uncapped=self.uncapped) if fn else helly_number(key[1])
+            fn = {"c": caratheodory_number, "e": exchange_number, "h": helly_number}[inv]
+            self._found[key] = fn(key[1], max_size=self.max_size)
         return self._found[key]
 
     @cached_property
     def spaces(self) -> dict[str, int]:
         """The search space of each invariant on ``graph``, counted once."""
-        kinds = {"c": CARATHEODORY, "e": EXCHANGE, "h": HELLY}
-        return {inv: search_space(self.graph, kinds[inv], self.uncapped) for inv in kinds}
+        return {inv: search_space(self.graph, inv, self.max_size) for inv in "ceh"}
 
     def runs(self, inv: str) -> bool:
         """The budget rule: a search runs iff its space is below 2^budget."""
@@ -266,12 +264,17 @@ def _cart_lower_bound(inv: str, case: _Case) -> Outcome:
     return f"{inv} >= {bound}", observed, _verdict(ok), None
 
 
+def _is_path(g: Graph) -> bool:
+    """Whether ``g`` is a path: connected, n - 1 edges, no degree above 2."""
+    return len(g.edges) == g.n - 1 and all(a.bit_count() <= 2 for a in g.adj) and is_connected(g)
+
+
 def _cart_path_equality(inv: str, least: int, case: _Case) -> Outcome:
     """``inv`` of a Cartesian product with a path is the other factor's if >= ``least``."""
     values = {}
     for side, other, path_factor in (("G", case.g, case.h), ("H", case.h, case.g)):
         values[side] = case.search(inv, other.graph).value
-        if path_factor.family == "path" and values[side] >= least:
+        if values[side] >= least and _is_path(path_factor.graph):
             predicted = f"{inv} = {inv}({side}) = {values[side]}"
             return _full_search(case, inv, predicted, values[side])
     return (f"{inv}(G box Pn) = {inv}(G)", f"{inv}(G)={values['G']}, {inv}(H)={values['H']}",
@@ -348,7 +351,7 @@ def _skip_all(theorems: Theorems, name: str, predicted: str, reason: str) -> lis
 def verify_graph_universal(inst: FamilyInstance, config: SuiteConfig) -> list[TheoremCheck]:
     """Sierksma inequalities plus the two triangle-count bounds."""
     g = inst.graph
-    case = _Case(g, config.budget, uncapped=True)
+    case = _Case(g, config.budget)
     if not all(map(case.runs, "ceh")):
         reason = f"over budget (n={g.n}, budget={config.budget})"
         return _skip_all(_UNIVERSAL_THEOREMS, g.name, "exhaustive invariants", reason)
@@ -359,7 +362,7 @@ def verify_family(inst: FamilyInstance, config: SuiteConfig) -> list[TheoremChec
     """Compare the instance's predicted invariants with brute force."""
     g = inst.graph
     rows: list[TheoremCheck] = []
-    case = _Case(g, config.budget, uncapped=True)
+    case = _Case(g, config.budget)
     feasible = all(map(case.runs, inst.predictions))
     for inv, pred in sorted(inst.predictions.items()):
         if feasible:

@@ -104,9 +104,9 @@ def test_criterion_03_universal_bounds_on_random_graphs():
             g = inst.graph
             assert g.n <= 10
             k = len(g.triangles)
-            # uncapped: the default cap, the component bound, is at most k + 1
-            c = caratheodory_number(g, uncapped=True)
-            e = exchange_number(g, uncapped=True)
+            # to size n: the default cap, the component bound, is at most k + 1
+            c = caratheodory_number(g, max_size=g.n)
+            e = exchange_number(g, max_size=g.n)
             h = helly_number(g)
             assert c.exhaustive and e.exhaustive and h.exhaustive
             assert c.value <= k + 1, inst.name

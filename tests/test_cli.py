@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 
 from deltaconvex import graph_from_edges, graph_to_json, save_graph
-from deltaconvex import cli
+from deltaconvex import cli, families
 from deltaconvex.cli import _FAMILIES, main
 from deltaconvex.families import complete, gadget_c, path, random_graph
-from deltaconvex.graphs import MAX_EDGES, MAX_VERTICES
+from deltaconvex.graphs import MAX_EDGES, MAX_VERTICES, _check_size
 
 
 def _write(tmp_path, name, g):
@@ -172,10 +172,12 @@ def test_huge_family_is_usage_error(tmp_path, capsys, family):
 
 
 def _unbuilt(family, monkeypatch):
-    """Make ``family``'s generator fail the test if it is ever called."""
-    def generator(*args):
-        raise AssertionError(f"{family}{args} was built")
-    monkeypatch.setitem(_FAMILIES, family, (generator, *_FAMILIES[family][1:]))
+    """Make ``family``'s generator fail the test if its size check, the
+    first thing it does, lets it go on to build."""
+    def check_size(n, m=0):
+        _check_size(n, m)
+        raise AssertionError(f"{family} with {n} vertices and {m} edges was built")
+    monkeypatch.setattr(families, "_check_size", check_size)
 
 
 @pytest.mark.parametrize(

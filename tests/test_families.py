@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from deltaconvex import (
+    GraphError,
     delta_hull,
     graph_to_json,
     is_block_graph,
@@ -25,6 +26,7 @@ from deltaconvex.families import (
     random_graph,
     two_connected_chordal,
 )
+from deltaconvex.graphs import MAX_VERTICES
 
 
 def test_standard_families():
@@ -61,6 +63,14 @@ def test_family_param_validation():
         two_connected_chordal(2, 0)
     with pytest.raises(FamilyError):
         random_graph(5, 1.5, 0)
+
+
+def test_generators_refuse_oversize_parameters():
+    # the generators check the size limits themselves, not only the CLI
+    with pytest.raises(GraphError, match="vertex count"):
+        path(MAX_VERTICES + 1)
+    with pytest.raises(GraphError, match="vertex count"):
+        complete_bipartite(1, MAX_VERTICES)
 
 
 def test_block_chain_structure():

@@ -152,14 +152,14 @@ def test_helly_number_small():
 
 
 def test_invariants_match_triangle_bounds():
-    # Uncapped: the default searches stop at the component bound, which is
+    # To size n: the default searches stop at the component bound, which is
     # at most k + 1, so they could not break these bounds.
     rng = random.Random(33)
     for _ in range(25):
         g = random_graph_raw(rng, rng.randint(1, 9), rng.choice([0.3, 0.5]))
         k = len(g.triangles)
-        assert caratheodory_number(g, uncapped=True).value <= k + 1
-        e = exchange_number(g, uncapped=True).value
+        assert caratheodory_number(g, max_size=g.n).value <= k + 1
+        e = exchange_number(g, max_size=g.n).value
         assert e <= k + 2
         if g.n >= 2:
             assert e >= 2
@@ -205,10 +205,21 @@ def test_max_size_cap_flags_non_exhaustive():
     assert not e_capped.exhaustive and e_capped.value == 2
 
 
+def test_max_size_above_the_proven_cap_searches_on_to_it():
+    # gc3 box P4: 20 triangle vertices, B = 3 = c. A search to size 20 finds
+    # no larger set, and the first set of size 3 is the default search's.
+    g = product(gadget_c(3).graph, path(4).graph, "cartesian").graph
+    default = caratheodory_number(g)
+    assert default.search_bound_used == 3
+    res = caratheodory_number(g, max_size=20)
+    assert res.search_bound_used == 20 and res.exhaustive
+    assert (res.value, res.extremal_set) == (default.value, default.extremal_set)
+
+
 def test_search_space_counts_the_sets_the_search_may_meet():
     # Pools and caps written out here, independent of ``_plan``: triangle
     # vertices up to B for c, all vertices up to B + 1 for e and up to n for
-    # h; uncapped, the candidate count (at least 1) for c and e.
+    # h; with max_size=n, the candidate count (at least 1) for c and e.
     rng = random.Random(36)
     graphs = [path(1).graph, path(5).graph, K3, gadget_c(3).graph, gadget_e(2).graph]
     graphs += [random_graph_raw(rng, rng.randint(1, 9), 0.5) for _ in range(20)]
@@ -216,16 +227,16 @@ def test_search_space_counts_the_sets_the_search_may_meet():
         b = independence.component_bound(g)
         tri = [v for v in range(g.n) if any(v in t for t in g.triangles)]
         every = list(range(g.n))
-        for kind, pool, cap, uncapped_cap, search in (
+        for kind, pool, cap, pool_cap, search in (
             (independence.CARATHEODORY, tri, min(b, g.n), max(1, len(tri)), caratheodory_number),
             (independence.EXCHANGE, every, min(b + 1, g.n), g.n, exchange_number),
             (independence.HELLY, every, g.n, g.n, None),
         ):
-            for uncapped, size in ((False, cap), (True, uncapped_cap)):
+            for max_size, size in ((None, cap), (g.n, pool_cap)):
                 brute = sum(1 for s in range(1, size + 1) for _ in combinations(pool, s))
-                assert independence.search_space(g, kind, uncapped) == brute
+                assert independence.search_space(g, kind, max_size) == brute
                 if search is not None:
-                    assert search(g, uncapped=uncapped).search_bound_used == size
+                    assert search(g, max_size=max_size).search_bound_used == size
     # the capped exchange search of gc3 box P4 (B = 3) stops at size 4
     g = product(gadget_c(3).graph, path(4).graph, "cartesian").graph
     assert independence.search_space(g, independence.EXCHANGE) == 20 + 190 + 1140 + 4845
@@ -268,12 +279,12 @@ def test_helly_search_memory_is_linear_in_depth():
 
 
 def test_only_long_searches_fetch_the_symmetry_group():
-    # Uncapped, as the capped search stops at size 4 after a few nodes.
+    # To size n, as the default search stops at size 4 after a few nodes.
     small = product(gadget_c(3).graph, path(2).graph, "cartesian").graph
-    exchange_number(small, uncapped=True)
+    exchange_number(small, max_size=small.n)
     assert "symmetries" not in vars(small)
     large = product(gadget_c(3).graph, path(3).graph, "cartesian").graph
-    res = exchange_number(large, uncapped=True)
+    res = exchange_number(large, max_size=large.n)
     assert len(vars(large)["symmetries"]) == 15
     assert (res.value, sorted(res.extremal_set)) == (4, [0, 1, 3, 6])
 

@@ -3,7 +3,7 @@
 ``caratheodory_number`` and ``exchange_number`` stop at sizes min(B, n)
 and min(B + 1, n), B being ``independence.component_bound`` (proved in the
 ``independence`` docstring). The tests compare the capped search, the
-search capped only at its candidate count (``uncapped=True``) and the
+search to size n (``max_size=n``, capped at its candidate count) and the
 unpruned ``naive_*`` search, which must give the same (value,
 extremal_set): on every graph of the networkx atlas (all graphs on at
 most 7 vertices, up to isomorphism), on small Cartesian, strong and
@@ -44,12 +44,12 @@ SEARCHES = (
 
 
 def differing(g: Graph) -> list[str]:
-    """The invariants whose capped, uncapped and naive searches disagree."""
+    """The invariants whose default-cap, to-n and naive searches disagree."""
     out = []
     for inv, pruned, naive in SEARCHES:
         results = {
             (r.value, r.extremal_set)
-            for r in (pruned(g), pruned(g, uncapped=True), naive(g))
+            for r in (pruned(g), pruned(g, max_size=g.n), naive(g))
         }
         if len(results) != 1:
             out.append(inv)
@@ -87,8 +87,8 @@ def test_uncapped_values_on_the_verify_corpus_stay_within_the_bound():
         g = inst.graph
         bound = component_bound(g)
         assert bound <= len(g.triangles) + 1, inst.name
-        assert caratheodory_number(g, uncapped=True).value <= bound, inst.name
-        assert exchange_number(g, uncapped=True).value <= bound + 1, inst.name
+        assert caratheodory_number(g, max_size=g.n).value <= bound, inst.name
+        assert exchange_number(g, max_size=g.n).value <= bound + 1, inst.name
 
 
 def test_component_bound_takes_the_best_component():
@@ -109,7 +109,7 @@ def labelled_graphs(n: int):
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
-        description="Compare capped, uncapped and naive c/e searches on every labelled graph."
+        description="Compare default-cap, to-n and naive c/e searches on every labelled graph."
     )
     parser.add_argument("--n", type=int, default=6, help="vertex count (default 6)")
     args = parser.parse_args()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from test_report_digests import recorded_digests
 
-from deltaconvex import verifier
+from deltaconvex import caratheodory_number, exchange_number, helly_number, verifier
 from deltaconvex.families import (
     block_chain,
     block_tree,
@@ -52,6 +52,17 @@ def test_universal_checks_run_iff_n_is_within_budget():
         rows = verify_graph_universal(inst, SuiteConfig(budget=budget))
         reason = f"over budget (n={inst.graph.n}, budget={budget})"
         assert [(r.status, r.reason) for r in rows] == [("skipped", reason)] * 4
+
+
+def test_universal_rows_search_to_n():
+    inst = block_tree([[4, 3], [3, 3]])
+    g = inst.graph
+    c, e = caratheodory_number(g, g.n).value, exchange_number(g, g.n).value
+    h = helly_number(g).value
+    by = {r.theorem_id: r.observed for r in verify_graph_universal(inst, SuiteConfig())}
+    assert by["sierksma"] == f"c={c}, e={e}, h={h}"
+    assert by["cara_triangle_bound"] == f"c={c}"
+    assert by["exch_triangle_bound"] == f"e={e}"
 
 
 def test_family_checks():
@@ -143,6 +154,13 @@ def test_product_checks_path_equalities():
     assert by["cart_pn_c_eq"].status == "pass"
     assert by["cart_pn_e_eq"].status == "fail"
     assert "extremal set" in by["cart_pn_e_eq"].reason
+
+
+def test_path_equality_recognises_a_path_by_its_structure():
+    # K2 is the path on two vertices under another family's name
+    rows = verify_products(gadget_c(3), complete(2), "cartesian", SuiteConfig())
+    by = {r.theorem_id: r for r in rows}
+    assert (by["cart_pn_e_eq"].status, by["cart_pn_e_eq"].observed) == ("fail", "e=4")
 
 
 def test_product_checks_strong_and_lex():
