@@ -4,10 +4,11 @@ Decision procedures return machine-checkable witnesses: an uncovered hull
 element for Caratheodory, a (pivot, uncovered element) pair for exchange.
 Ties break to the first pivot in member order and the least element, so
 outputs are reproducible. One kernel per kind decides independence from a
-list of leave-one-out hulls hull(S - a); the independence tests, the
-pruned searches, the ``naive_*`` searches and the product witnesses all
-share it. The exchange kernel is linear in |S|: it marks the elements that
-lie in exactly one of the hulls.
+list of leave-one-out hulls hull(S - a). The pruned searches call the
+kernels on hulls grown incrementally; everything else, the ``naive_*``
+searches and the product witnesses included, calls ``is_*_independent``.
+The exchange kernel is linear in |S|: it marks the elements that lie in
+exactly one of the hulls.
 
 An invariant search reports, at the largest size that has one, the first
 independent set in the order of ``itertools.combinations`` (size
@@ -94,9 +95,10 @@ images when they next make a child. Results never depend on whether or
 when the cut is active.
 
 The ``naive_*`` variants bypass every filter, cap, cut and incremental
-hull: they enumerate ``combinations`` and close every leave-one-out set
-from scratch with ``hull_mask``, as the oracle side of the pruned
-searches.
+hull: they test every set of ``combinations`` up to ``max_size`` (n by
+default) with ``is_*_independent``, as the oracle side of the pruned
+searches. Only their ``exhaustive`` flag follows the pruned rule: true
+when the limit reaches the proven cap or, for Helly, a size has no set.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, GraphError, iter_bits, lowest_bit, set_from_mask, vertex_mask
 from .hull import extend_hull, hull_mask
@@ -217,23 +219,11 @@ def _grown(g: Graph, hull_s: int, subs: list[int], x: int) -> Iterator[int]:
         yield extend_hull(g, h, x)
 
 
-def _c_witness(g: Graph, smask: int, members: Iterable[int]) -> int | None:
-    return _c_kernel(hull_mask(g, smask), _loo_hulls(g, smask, members))
-
-
-def _e_witness(g: Graph, smask: int, members: list[int]) -> tuple[int, int] | None:
-    w = _e_kernel(_loo_hulls(g, smask, members))
-    return None if w is None else (members[w[0]], w[1])
-
-
-def _h_independent(g: Graph, smask: int, members: Iterable[int]) -> bool:
-    return _h_kernel(_loo_hulls(g, smask, members))
-
-
 def is_c_independent(g: Graph, s: Iterable[int]) -> IndependenceVerdict:
     """Independent iff some hull element escapes every leave-one-out hull."""
     members = _members(g, s)
-    p = _c_witness(g, vertex_mask(members), members)
+    smask = vertex_mask(members)
+    p = _c_kernel(hull_mask(g, smask), _loo_hulls(g, smask, members))
     return IndependenceVerdict(CARATHEODORY, p is not None, p)
 
 
@@ -243,13 +233,14 @@ def is_e_independent(g: Graph, s: Iterable[int]) -> IndependenceVerdict:
     members = _members(g, s)
     if len(members) == 1:
         return IndependenceVerdict(EXCHANGE, True, None)
-    w = _e_witness(g, vertex_mask(members), members)
+    w = _e_kernel(_loo_hulls(g, vertex_mask(members), members))
+    w = None if w is None else (members[w[0]], w[1])
     return IndependenceVerdict(EXCHANGE, w is not None, w)
 
 
 def is_h_independent(g: Graph, s: Iterable[int]) -> IndependenceVerdict:
     members = _members(g, s)
-    ok = _h_independent(g, vertex_mask(members), members)
+    ok = _h_kernel(_loo_hulls(g, vertex_mask(members), members))
     return IndependenceVerdict(HELLY, ok, None)
 
 
@@ -472,39 +463,33 @@ def helly_number(g: Graph, max_size: int | None = None) -> InvariantResult:
     return res
 
 
-def _naive_search(
-    g: Graph,
-    independent: Callable[[Graph, int, list[int]], bool],
-    max_size: int | None,
-) -> InvariantResult:
-    if g.n == 0:
-        raise GraphError("invariants are undefined for the empty graph")
+def _naive_search(g: Graph, kind: str, max_size: int | None) -> InvariantResult:
+    """Unpruned ``kind`` search up to ``max_size``; ``exhaustive`` by the
+    pruned searches' rule (module docstring)."""
+    proven = _plan(g, kind)[2]
+    tests = {CARATHEODORY: is_c_independent, EXCHANGE: is_e_independent, HELLY: is_h_independent}
+    test = tests[kind]
     limit = g.n if max_size is None else max(1, min(g.n, max_size))
     best_size, best_set = 0, frozenset()
     for size in range(1, limit + 1):
         for combo in combinations(range(g.n), size):
-            if independent(g, vertex_mask(combo), list(combo)):
+            if test(g, combo).independent:
                 best_size, best_set = size, frozenset(combo)
                 break
-    return InvariantResult(best_size, best_set, limit >= g.n, limit)
+    exhaustive = limit >= proven or (kind == HELLY and best_size < limit)
+    return InvariantResult(best_size, best_set, exhaustive, limit)
 
 
 def naive_caratheodory_number(g: Graph, max_size: int | None = None) -> InvariantResult:
-    return _naive_search(
-        g, lambda gr, m, mem: _c_witness(gr, m, mem) is not None, max_size
-    )
+    return _naive_search(g, CARATHEODORY, max_size)
 
 
 def naive_exchange_number(g: Graph, max_size: int | None = None) -> InvariantResult:
-    return _naive_search(
-        g,
-        lambda gr, m, mem: len(mem) == 1 or _e_witness(gr, m, mem) is not None,
-        max_size,
-    )
+    return _naive_search(g, EXCHANGE, max_size)
 
 
 def naive_helly_number(g: Graph, max_size: int | None = None) -> InvariantResult:
-    return _naive_search(g, _h_independent, max_size)
+    return _naive_search(g, HELLY, max_size)
 
 
 def sierksma_check(g: Graph) -> tuple[bool, tuple[int, int, int]]:

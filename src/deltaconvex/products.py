@@ -4,16 +4,17 @@ Product vertices are pairs (g, h) encoded as g * |V(H)| + h, so witness
 sets remain auditable against the factor coordinates; ``encode``/``decode``
 expose the mapping. Layer and projection helpers plus the edge-vertex
 distance predicate live here too, together with the two proof-witness
-constructors for Cartesian lower bounds.
+constructors for Cartesian lower bounds, which check their factor sets
+with ``is_c_independent`` and ``is_e_independent``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .graphs import Graph, GraphError, _check_size, vertex_mask
-from .independence import _c_witness, _e_witness, _members
+from .graphs import Graph, GraphError, _check_size
+from .independence import is_c_independent, is_e_independent
 
 CARTESIAN = "cartesian"
 STRONG = "strong"
@@ -117,41 +118,39 @@ def has_edge_vertex_property(
     return False, None
 
 
-def cartesian_e_witness(
-    g: Graph,
-    s1: Iterable[int],
-    pivot_g: int,
-    h: Graph,
-    s2: Iterable[int],
-    pivot_h: int,
-) -> frozenset[int]:
-    """Exchange witness (S1 - pivot) x (S2 - pivot) + {(pivot, pivot)} in
-    the Cartesian product, of size (|S1|-1)(|S2|-1)+1.
-
-    Both factor sets must be exchange independent of size > 2 with the
-    given pivot; the caller verifies independence of the returned set.
-    """
-    m1 = _members(g, s1)
-    m2 = _members(h, s2)
+def _independent_factors(
+    g: Graph, s1: Iterable[int], h: Graph, s2: Iterable[int], test: Callable, name: str
+) -> tuple[list[int], list[int], list]:
+    """The sorted factor sets and the witnesses ``test`` reports for them;
+    raises unless both have size > 2 and are ``name`` independent."""
+    m1, m2 = sorted(set(s1)), sorted(set(s2))
     if len(m1) <= 2 or len(m2) <= 2:
-        raise GraphError("the exchange lower bound needs factor sets of size > 2")
-    for graph, members, pivot in ((g, m1, pivot_g), (h, m2, pivot_h)):
-        if pivot not in members:
-            raise GraphError(f"pivot {pivot} is not a member of the factor set")
-        if not _pivot_valid(graph, members, pivot):
-            raise GraphError(
-                f"factor set {members} is not exchange independent with pivot {pivot}"
-            )
+        raise GraphError(f"the {name} lower bound needs factor sets of size > 2")
+    witnesses = []
+    for graph, members in ((g, m1), (h, m2)):
+        verdict = test(graph, members)
+        if not verdict.independent:
+            raise GraphError(f"factor set {members} is not {name} independent")
+        witnesses.append(verdict.witness)
+    return m1, m2, witnesses
+
+
+def cartesian_e_witness(
+    g: Graph, s1: Iterable[int], h: Graph, s2: Iterable[int]
+) -> frozenset[int]:
+    """Exchange witness (S1 - p) x (S2 - q) + {(p, q)} in the Cartesian
+    product, of size (|S1|-1)(|S2|-1)+1, p and q being the pivots that
+    ``is_e_independent`` reports for S1 and S2.
+
+    Both factor sets must be exchange independent of size > 2; the caller
+    verifies independence of the returned set.
+    """
+    m1, m2, (w1, w2) = _independent_factors(g, s1, h, s2, is_e_independent, "exchange")
+    p, q = w1[0], w2[0]
     nh = h.n
-    out = {a * nh + b for a in m1 if a != pivot_g for b in m2 if b != pivot_h}
-    out.add(pivot_g * nh + pivot_h)
+    out = {a * nh + b for a in m1 if a != p for b in m2 if b != q}
+    out.add(p * nh + q)
     return frozenset(out)
-
-
-def _pivot_valid(g: Graph, members: list[int], pivot: int) -> bool:
-    smask = vertex_mask(members)
-    w = _e_witness(g, smask, [pivot] + [a for a in members if a != pivot])
-    return w is not None and w[0] == pivot
 
 
 def cartesian_c_witness(
@@ -162,13 +161,5 @@ def cartesian_c_witness(
     Both factor sets must be Caratheodory independent of size > 2; the
     caller verifies independence of the returned set.
     """
-    m1 = _members(g, s1)
-    m2 = _members(h, s2)
-    if len(m1) <= 2 or len(m2) <= 2:
-        raise GraphError("the Caratheodory lower bound needs factor sets of size > 2")
-    if _c_witness(g, vertex_mask(m1), m1) is None:
-        raise GraphError(f"factor set {m1} is not Caratheodory independent")
-    if _c_witness(h, vertex_mask(m2), m2) is None:
-        raise GraphError(f"factor set {m2} is not Caratheodory independent")
-    nh = h.n
-    return frozenset(a * nh + b for a in m1 for b in m2)
+    m1, m2, _ = _independent_factors(g, s1, h, s2, is_c_independent, "Caratheodory")
+    return frozenset(a * h.n + b for a in m1 for b in m2)

@@ -247,14 +247,12 @@ def _cart_lower_bound(inv: str, case: _Case) -> Outcome:
                 "hypothesis_unmet", f"needs {inv} > 2 in both factors")
     if inv == "e":
         bound = (rg.value - 1) * (rh.value - 1) + 1
-        pivot_g = is_e_independent(g, rg.extremal_set).witness[0]
-        pivot_h = is_e_independent(h, rh.extremal_set).witness[0]
-        witness = cartesian_e_witness(g, rg.extremal_set, pivot_g, h, rh.extremal_set, pivot_h)
-        verdict = is_e_independent(case.graph, witness)
+        build, test = cartesian_e_witness, is_e_independent
     else:
         bound = rg.value * rh.value
-        witness = cartesian_c_witness(g, rg.extremal_set, h, rh.extremal_set)
-        verdict = is_c_independent(case.graph, witness)
+        build, test = cartesian_c_witness, is_c_independent
+    witness = build(g, rg.extremal_set, h, rh.extremal_set)
+    verdict = test(case.graph, witness)
     ok = verdict.independent and len(witness) == bound
     observed = f"witness size {len(witness)}, independent={verdict.independent}"
     if case.runs(inv):

@@ -223,8 +223,7 @@ def test_criterion_07_cartesian_witnesses():
         gc3 = gadget_c(3).graph
         p = product(gc3, gc3, "cartesian")
         e = exchange_number(gc3)
-        pivot = is_e_independent(gc3, e.extremal_set).witness[0]
-        w_e = cartesian_e_witness(gc3, e.extremal_set, pivot, gc3, e.extremal_set, pivot)
+        w_e = cartesian_e_witness(gc3, e.extremal_set, gc3, e.extremal_set)
         assert len(w_e) == 5
         assert is_e_independent(p.graph, w_e).independent
         c = caratheodory_number(gc3)

@@ -58,14 +58,19 @@ def test_invariant_command(tmp_path, capsys):
 
 
 def test_naive_matches_pruned_via_cli(tmp_path, capsys):
-    gpath = _write(tmp_path, "g.json", gadget_c(4).graph)
+    g = gadget_c(4).graph
+    gpath = _write(tmp_path, "g.json", g)
+    sizes = [[]] + [["--max-size", str(k)] for k in range(1, g.n + 1)]
     values = {}
     for mode in ([], ["--naive"]):
         for which in ("c", "e", "h"):
-            assert main(["invariant", "--which", which, "--graph", gpath] + mode) == 0
-            values[(which, bool(mode))] = json.loads(capsys.readouterr().out)
+            for size in sizes:
+                args = ["invariant", "--which", which, "--graph", gpath] + size + mode
+                assert main(args) == 0
+                values[(which, tuple(size), bool(mode))] = json.loads(capsys.readouterr().out)
     for which in ("c", "e", "h"):
-        assert values[(which, False)] == values[(which, True)]
+        for size in sizes:
+            assert values[(which, tuple(size), False)] == values[(which, tuple(size), True)], size
 
 
 def test_generate_command(tmp_path, capsys):

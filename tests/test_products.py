@@ -179,16 +179,19 @@ def test_edge_vertex_property():
 def test_cartesian_e_witness():
     gc3 = gadget_c(3).graph
     e = exchange_number(gc3)
-    pivot = is_e_independent(gc3, e.extremal_set).witness[0]
-    w = cartesian_e_witness(gc3, e.extremal_set, pivot, gc3, e.extremal_set, pivot)
+    w = cartesian_e_witness(gc3, e.extremal_set, gc3, e.extremal_set)
     assert len(w) == (e.value - 1) ** 2 + 1 == 5
     p = product(gc3, gc3, "cartesian")
     assert is_e_independent(p.graph, w).independent
+    # The pivot pair (p, q) is the pair of pivots is_e_independent reports.
+    pivot = is_e_independent(gc3, e.extremal_set).witness[0]
+    assert pivot * gc3.n + pivot in w
 
     with pytest.raises(GraphError, match="size > 2"):
-        cartesian_e_witness(gc3, {0, 1}, 0, gc3, e.extremal_set, pivot)
-    with pytest.raises(GraphError, match="pivot"):
-        cartesian_e_witness(gc3, e.extremal_set, 4, gc3, e.extremal_set, pivot)
+        cartesian_e_witness(gc3, {0, 1}, gc3, e.extremal_set)
+    with pytest.raises(GraphError, match="independent"):
+        # {0, 1, 3} contains a full triangle, hence is dependent
+        cartesian_e_witness(gc3, {0, 1, 3}, gc3, e.extremal_set)
 
 
 def test_cartesian_e_witness_sizes():
@@ -196,10 +199,11 @@ def test_cartesian_e_witness_sizes():
     gc4 = gadget_c(4).graph
     e3 = exchange_number(gc3)
     e4 = exchange_number(gc4)
+    w = cartesian_e_witness(gc3, e3.extremal_set, gc4, e4.extremal_set)
+    assert len(w) == (3 - 1) * (4 - 1) + 1 == 7
     p3 = is_e_independent(gc3, e3.extremal_set).witness[0]
     p4 = is_e_independent(gc4, e4.extremal_set).witness[0]
-    w = cartesian_e_witness(gc3, e3.extremal_set, p3, gc4, e4.extremal_set, p4)
-    assert len(w) == (3 - 1) * (4 - 1) + 1 == 7
+    assert p3 * gc4.n + p4 in w
 
 
 def test_cartesian_c_witness():

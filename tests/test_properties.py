@@ -108,7 +108,9 @@ def test_pruned_search_equals_naive(g):
             (helly_number, naive_helly_number),
         ):
             a, b = pruned(g, max_size), naive(g, max_size)
-            assert (a.value, a.extremal_set) == (b.value, b.extremal_set)
+            assert (a.value, a.extremal_set, a.exhaustive) == (
+                b.value, b.extremal_set, b.exhaustive
+            )
 
 
 @given(graph_and_subset(), st.integers(0, 7))

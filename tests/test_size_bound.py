@@ -5,16 +5,18 @@ and min(B + 1, n), B being ``independence.component_bound`` (proved in the
 ``independence`` docstring). The tests compare the capped search, the
 search to size n (``max_size=n``, capped at its candidate count) and the
 unpruned ``naive_*`` search, which must give the same (value,
-extremal_set): on every graph of the networkx atlas (all graphs on at
-most 7 vertices, up to isomorphism), on small Cartesian, strong and
-lexicographic products, and, as bounds, on the seed-0 verify corpus.
-Labels matter, since the extremal set is the first one in
-``combinations`` order. Run as a script,
+extremal_set, exhaustive): on every graph of the networkx atlas (all
+graphs on at most 7 vertices, up to isomorphism), on small Cartesian,
+strong and lexicographic products, and, as bounds, on the seed-0 verify
+corpus. Below n, the pruned and naive c, e and h searches must agree at
+every ``max_size``, the ``exhaustive`` flag included. Labels matter, since
+the extremal set is the first one in ``combinations`` order. Run as a
+script,
 
     PYTHONPATH=src python tests/test_size_bound.py [--n N]
 
-checks every labelled graph on N vertices (6 by default: 32,768 graphs)
-and exits 1 listing the edge lists on which the searches differ.
+checks both on every labelled graph on N vertices (6 by default: 32,768
+graphs) and exits 1 listing the edge lists on which the searches differ.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from deltaconvex.independence import (
     caratheodory_number,
     component_bound,
     exchange_number,
+    helly_number,
     naive_caratheodory_number,
     naive_exchange_number,
+    naive_helly_number,
 )
 from deltaconvex.products import product
 from deltaconvex.verifier import build_corpus
@@ -41,6 +45,7 @@ SEARCHES = (
     ("c", caratheodory_number, naive_caratheodory_number),
     ("e", exchange_number, naive_exchange_number),
 )
+HELLY = ("h", helly_number, naive_helly_number)
 
 
 def differing(g: Graph) -> list[str]:
@@ -48,11 +53,24 @@ def differing(g: Graph) -> list[str]:
     out = []
     for inv, pruned, naive in SEARCHES:
         results = {
-            (r.value, r.extremal_set)
+            (r.value, r.extremal_set, r.exhaustive)
             for r in (pruned(g), pruned(g, max_size=g.n), naive(g))
         }
         if len(results) != 1:
             out.append(inv)
+    return out
+
+
+def differing_below_n(g: Graph) -> list[tuple[str, int]]:
+    """The (invariant, max_size) pairs, max_size 1 to n - 1, at which the
+    pruned and naive searches report a different (value, extremal_set,
+    exhaustive)."""
+    out = []
+    for inv, pruned, naive in SEARCHES + (HELLY,):
+        for k in range(1, g.n):
+            a, b = pruned(g, k), naive(g, k)
+            if (a.value, a.extremal_set, a.exhaustive) != (b.value, b.extremal_set, b.exhaustive):
+                out.append((inv, k))
     return out
 
 
@@ -101,6 +119,14 @@ def test_component_bound_takes_the_best_component():
     assert component_bound(complete(4).graph) == 2
 
 
+def test_pruned_and_naive_agree_below_n_on_labelled_5_vertex_graphs():
+    checked = 0
+    for g in labelled_graphs(5):
+        assert differing_below_n(g) == [], sorted(g.edges)
+        checked += 1
+    assert checked == 1024
+
+
 def labelled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
@@ -109,14 +135,14 @@ def labelled_graphs(n: int):
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
-        description="Compare default-cap, to-n and naive c/e searches on every labelled graph."
+        description="Compare pruned and naive c/e/h searches on every labelled graph."
     )
     parser.add_argument("--n", type=int, default=6, help="vertex count (default 6)")
     args = parser.parse_args()
     bad, total = [], 0
     for g in labelled_graphs(args.n):
         total += 1
-        if differing(g):
+        if differing(g) or differing_below_n(g):
             bad.append(list(g.edges))
     print(f"{total} labelled graphs on {args.n} vertices checked, {len(bad)} differ")
     if bad:
