@@ -6,8 +6,6 @@ from .graphs import (
     GraphError,
     block_decomposition,
     diameter,
-    distance_matrix,
-    graph_from_edges,
     graph_from_json,
     graph_to_json,
     is_block_graph,
@@ -16,7 +14,6 @@ from .graphs import (
     is_two_connected,
     load_graph,
     save_graph,
-    triangles,
 )
 from .hull import (
     HullTrace,

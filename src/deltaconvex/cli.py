@@ -152,7 +152,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "predictions": {
             inv: {
                 "relation": pred.relation,
-                "value": list(pred.value) if isinstance(pred.value, tuple) else pred.value,
+                "value": pred.value,
                 "theorem": pred.theorem,
             }
             for inv, pred in sorted(inst.predictions.items())

@@ -76,10 +76,6 @@ class FamilyInstance:
         return self.graph.name
 
 
-def _complete_edges(vertices: list[int]) -> list[tuple[int, int]]:
-    return list(combinations(vertices, 2))
-
-
 def _check_blocks(sizes: list[int]) -> None:
     """Check the size of a tree of complete blocks of ``sizes``."""
     _check_size(1 + sum(s - 1 for s in sizes), sum(s * (s - 1) // 2 for s in sizes))
@@ -118,7 +114,7 @@ def complete(n: int) -> FamilyInstance:
     _check_size(n, n * (n - 1) // 2)
     if n < 1:
         raise FamilyError(f"complete needs n >= 1, got {n}")
-    g = Graph(n, _complete_edges(list(range(n))), name=f"K{n}")
+    g = Graph(n, combinations(range(n), 2), name=f"K{n}")
     if n > 2:
         preds = {
             "c": Prediction("eq", 2, "complete_c2"),
@@ -152,6 +148,26 @@ def _longest_big_run(sizes: list[int]) -> int:
     return best
 
 
+def _block_graph(chains: list[list[int]], name: str) -> Graph:
+    """Legs of complete blocks of the given sizes, each leg a chain from
+    the root 0: a leg's first block holds the root, every later block the
+    last vertex of the block before it, and the other vertices are
+    numbered leg by leg, block by block, from 1."""
+    edges: list[tuple[int, int]] = []
+    nxt = 1
+    for chain in chains:
+        cut = 0
+        for s in chain:
+            block = [cut, *range(nxt, nxt + s - 1)]
+            edges.extend(combinations(block, 2))
+            nxt += s - 1
+            cut = block[-1]
+    g = Graph(nxt, edges, name=name)
+    if not is_block_graph(g):
+        raise FamilyError(f"{g.name} is not a block graph")
+    return g
+
+
 def block_chain(sizes: list[int]) -> FamilyInstance:
     """Chain of complete blocks; consecutive blocks share one cut vertex."""
     sizes = list(sizes)
@@ -161,16 +177,7 @@ def block_chain(sizes: list[int]) -> FamilyInstance:
     for s in sizes:
         if s < 2:
             raise FamilyError(f"block size must be >= 2, got {s}")
-    edges: list[tuple[int, int]] = []
-    start = 0
-    for s in sizes:
-        edges.extend(_complete_edges(list(range(start, start + s))))
-        start += s - 1
-    n = start + 1
-    label = ",".join(map(str, sizes))
-    g = Graph(n, edges, name=f"block_chain[{label}]")
-    if not is_block_graph(g):
-        raise FamilyError(f"{g.name} is not a block graph")
+    g = _block_graph([sizes], f"block_chain[{','.join(map(str, sizes))}]")
     ell = len(sizes)
     if all(s > 2 for s in sizes):
         preds = {
@@ -205,19 +212,8 @@ def block_tree(chains: list[list[int]]) -> FamilyInstance:
         for s in chain:
             if s < 3:
                 raise FamilyError(f"block_tree block size must be >= 3, got {s}")
-    edges: list[tuple[int, int]] = []
-    nxt = 1
-    for chain in chains:
-        prev_cut = 0
-        for s in chain:
-            block = [prev_cut] + list(range(nxt, nxt + s - 1))
-            nxt += s - 1
-            edges.extend(_complete_edges(block))
-            prev_cut = block[-1]
     label = ",".join("[" + ",".join(map(str, c)) + "]" for c in chains)
-    g = Graph(nxt, edges, name=f"block_tree[{label}]")
-    if not is_block_graph(g):
-        raise FamilyError(f"{g.name} is not a block graph")
+    g = _block_graph(chains, f"block_tree[{label}]")
     ell = sum(len(c) for c in chains)
     legs = sorted((len(c) for c in chains), reverse=True)
     k = legs[0] + legs[1]

@@ -238,7 +238,8 @@ class Graph:
         return automorphisms(self, SYMMETRY_LIMIT)
 
     @cached_property
-    def _distances(self) -> tuple[tuple[int | float, ...], ...]:
+    def distances(self) -> tuple[tuple[int | float, ...], ...]:
+        """Hop distances between all vertex pairs; INF across components."""
         rows = []
         for s in range(self.n):
             dist: list[int | float] = [INF] * self.n
@@ -368,24 +369,11 @@ def automorphisms(g: Graph, limit: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> Graph:
-    return Graph(n, edges, name)
-
-
-def triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    return g.triangles
-
-
-def distance_matrix(g: Graph) -> tuple[tuple[int | float, ...], ...]:
-    """Hop distances between all vertex pairs; INF across components."""
-    return g._distances
-
-
 def diameter(g: Graph) -> int | float:
     if g.n == 0:
         raise GraphError("diameter is undefined for the empty graph")
     worst: int | float = 0
-    for row in g._distances:
+    for row in g.distances:
         for d in row:
             if d > worst:
                 worst = d
@@ -568,9 +556,9 @@ def graph_from_json(text: str) -> Graph:
     n, edges = data["n"], data["edges"]
     if not _is_int(n):
         raise GraphError(f'graph JSON "n" must be an integer, got {n!r}')
-    _check_size(n)
     if not isinstance(edges, list):
         raise GraphError('graph JSON "edges" must be a list')
+    _check_size(n, len(edges))
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
             raise GraphError(f"graph JSON edge {e!r} is not a pair of integer vertex ids")
@@ -584,7 +572,7 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_size(n: int, m: int = 0) -> None:
+def _check_size(n: int, m: int) -> None:
     for what, count, limit in (("vertex", n, MAX_VERTICES), ("edge", m, MAX_EDGES)):
         if count > limit:
             raise GraphError(f"{what} count {count} is over the limit of {limit}")
@@ -597,24 +585,21 @@ def graph_from_text(text: str) -> Graph:
         raise GraphError("empty graph text")
     try:
         n = int(lines[0])
+        _check_size(n, len(lines) - 1)
         edges = []
         for ln in lines[1:]:
             u, v = ln.split()
             edges.append((int(u), int(v)))
+    except GraphError:
+        raise
     except ValueError as exc:
         raise GraphError(f"invalid graph text: {exc}") from exc
-    _check_size(n)
     return Graph(n, edges)
 
 
-def parse_graph(text: str, name: str | None = None) -> Graph:
-    """A graph from JSON or plain text; ``name``, if given, replaces the
-    name the text carries (a new Graph, as Graphs are immutable)."""
-    stripped = text.lstrip()
-    g = graph_from_json(text) if stripped.startswith("{") else graph_from_text(text)
-    if name is not None:
-        g = Graph(g.n, g.edges, name)
-    return g
+def parse_graph(text: str) -> Graph:
+    """A graph from JSON or plain text."""
+    return graph_from_json(text) if text.lstrip().startswith("{") else graph_from_text(text)
 
 
 def load_graph(path: str) -> Graph:

@@ -408,17 +408,21 @@ def component_bound(g: Graph) -> int:
     )
 
 
-def _plan(g: Graph, kind: str, max_size: int | None = None) -> tuple[list[int], int, int]:
-    """(pool, cap, proven cap) of a ``kind`` search: the triangle vertices
+def _plan(g: Graph, kind: str, max_size: int | None = None) -> tuple[list[int], int, bool]:
+    """(pool, cap, exhaustive) of a ``kind`` search: the triangle vertices
     (c) or all vertices, ascending; max(1, min(max_size, pool size)), or
-    the proven cap if ``max_size`` is None; and min(B, n), min(B + 1, n) or
-    n for c, e or h, B = ``component_bound(g)`` ("Component bound" above)."""
+    the proven cap if ``max_size`` is None; and whether the cap reaches
+    the proven cap min(B, n), min(B + 1, n) or n for c, e or h,
+    B = ``component_bound(g)`` ("Component bound" above). The proven cap
+    is at most max(1, pool size), so B is read only for a cap below it."""
     if g.n == 0:
         raise GraphError("invariants are undefined for the empty graph")
     pool = list(iter_bits(g.triangle_vertex_mask) if kind == CARATHEODORY else range(g.n))
+    if max_size is not None and max_size >= len(pool):
+        return pool, max(1, len(pool)), True
     proven = g.n if kind == HELLY else min(component_bound(g) + (kind == EXCHANGE), g.n)
-    cap = proven if max_size is None else max(1, min(max_size, len(pool)))
-    return pool, cap, proven
+    cap = proven if max_size is None else max(1, max_size)
+    return pool, cap, cap >= proven
 
 
 def search_space(g: Graph, kind: str, max_size: int | None = None) -> int:
@@ -434,11 +438,11 @@ def _planned_search(g: Graph, kind: str, lo: int, max_size: int | None) -> Invar
     """The largest set ``_lex_search`` finds over the plan of ``kind`` from
     size ``lo``; as every set below ``lo`` is independent, the first of
     size min(lo - 1, cap) if it finds none."""
-    pool, cap, proven = _plan(g, kind, max_size)
+    pool, cap, exhaustive = _plan(g, kind, max_size)
     found = _lex_search(g, kind, pool, lo, cap)
     size = max(found, default=min(lo - 1, cap))
     best = set_from_mask(found.get(size, (1 << size) - 1))
-    return InvariantResult(size, best, cap >= proven, cap)
+    return InvariantResult(size, best, exhaustive, cap)
 
 
 def caratheodory_number(g: Graph, max_size: int | None = None) -> InvariantResult:
@@ -466,17 +470,16 @@ def helly_number(g: Graph, max_size: int | None = None) -> InvariantResult:
 def _naive_search(g: Graph, kind: str, max_size: int | None) -> InvariantResult:
     """Unpruned ``kind`` search up to ``max_size``; ``exhaustive`` by the
     pruned searches' rule (module docstring)."""
-    proven = _plan(g, kind)[2]
+    limit = g.n if max_size is None else max(1, min(g.n, max_size))
     tests = {CARATHEODORY: is_c_independent, EXCHANGE: is_e_independent, HELLY: is_h_independent}
     test = tests[kind]
-    limit = g.n if max_size is None else max(1, min(g.n, max_size))
     best_size, best_set = 0, frozenset()
     for size in range(1, limit + 1):
         for combo in combinations(range(g.n), size):
             if test(g, combo).independent:
                 best_size, best_set = size, frozenset(combo)
                 break
-    exhaustive = limit >= proven or (kind == HELLY and best_size < limit)
+    exhaustive = _plan(g, kind, limit)[2] or (kind == HELLY and best_size < limit)
     return InvariantResult(best_size, best_set, exhaustive, limit)
 
 

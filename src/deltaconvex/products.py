@@ -110,7 +110,7 @@ def has_edge_vertex_property(
     Returns the lexicographically least witness (u, v, x); unreachable
     vertices count as distance infinity.
     """
-    dist = g._distances
+    dist = g.distances
     for u, v in g.edges:
         for x in range(g.n):
             if dist[u][x] >= 2 and dist[v][x] >= 2:

@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from deltaconvex import graph_from_edges, graph_to_json, save_graph
-from deltaconvex import cli, families
+from deltaconvex import Graph, graph_to_json, save_graph
+from deltaconvex import cli, families, graphs
 from deltaconvex.cli import _FAMILIES, main
 from deltaconvex.families import complete, gadget_c, path, random_graph
 from deltaconvex.graphs import MAX_EDGES, MAX_VERTICES, _check_size
@@ -87,6 +87,13 @@ def test_generate_command(tmp_path, capsys):
     assert meta["predictions"]["c"] == {
         "relation": "eq", "value": 2, "theorem": "block_c_iii",
     }
+    # a tuple of values is written as a JSON list
+    out = tmp_path / "chordal.json"
+    assert main(["generate", "two_connected_chordal", "--params", '{"n": 5}', "-o", str(out)]) == 0
+    meta = json.loads((tmp_path / "chordal.meta.json").read_text())
+    assert meta["predictions"]["e"] == {
+        "relation": "in", "value": [2, 3], "theorem": "chordal_e23",
+    }
 
 
 def test_generate_seeded(tmp_path):
@@ -151,6 +158,22 @@ def test_huge_vertex_count_is_usage_error(tmp_path, capsys, name, write, argv):
         assert "vertex count" in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("g.json", json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]})),
+        ("g.txt", "4\n0 1\n1 2\n2 3\n"),
+    ],
+    ids=["json", "text"],
+)
+def test_graph_file_over_the_edge_limit_is_usage_error(tmp_path, capsys, monkeypatch, name, text):
+    monkeypatch.setattr(graphs, "MAX_EDGES", 2)
+    p = tmp_path / name
+    p.write_text(text)
+    assert main(["invariant", "--which", "c", "--graph", str(p)]) == 2
+    assert "edge count 3 is over the limit of 2" in _single_error_line(capsys)
+
+
 # family -> --params giving a graph of at least ``n`` vertices
 _SIZED_PARAMS = {
     "path": lambda n: {"n": n},
@@ -179,7 +202,7 @@ def test_huge_family_is_usage_error(tmp_path, capsys, family):
 def _unbuilt(family, monkeypatch):
     """Make ``family``'s generator fail the test if its size check, the
     first thing it does, lets it go on to build."""
-    def check_size(n, m=0):
+    def check_size(n, m):
         _check_size(n, m)
         raise AssertionError(f"{family} with {n} vertices and {m} edges was built")
     monkeypatch.setattr(families, "_check_size", check_size)
@@ -215,8 +238,8 @@ def test_largest_complete_graph_within_the_edge_limit_reaches_its_generator(monk
 
 
 def test_product_command(tmp_path):
-    a = _write(tmp_path, "a.json", graph_from_edges(2, [(0, 1)], name="P2"))
-    b = _write(tmp_path, "b.json", graph_from_edges(2, [(0, 1)], name="Q2"))
+    a = _write(tmp_path, "a.json", Graph(2, [(0, 1)], name="P2"))
+    b = _write(tmp_path, "b.json", Graph(2, [(0, 1)], name="Q2"))
     out = tmp_path / "prod.json"
     assert main(["product", "--kind", "strong", a, b, "-o", str(out)]) == 0
     data = json.loads(out.read_text())
@@ -230,7 +253,7 @@ def test_product_command(tmp_path):
 def test_null_graph_name_survives_a_product_round_trip(tmp_path, capsys):
     a = tmp_path / "a.json"
     a.write_text('{"name": null, "n": 2, "edges": [[0, 1]]}')
-    b = _write(tmp_path, "b.json", graph_from_edges(2, [(0, 1)], name="P2"))
+    b = _write(tmp_path, "b.json", Graph(2, [(0, 1)], name="P2"))
     out = tmp_path / "prod.json"
     assert main(["product", "--kind", "cartesian", str(a), b, "-o", str(out)]) == 0
     data = json.loads(out.read_text())
@@ -278,7 +301,7 @@ def test_product_over_edge_limit_is_usage_error(tmp_path, capsys):
 
 def test_product_output_feeds_other_commands(tmp_path, capsys):
     a = _write(tmp_path, "a.json", gadget_c(3).graph)
-    b = _write(tmp_path, "b.json", graph_from_edges(2, [(0, 1)], name="P2"))
+    b = _write(tmp_path, "b.json", Graph(2, [(0, 1)], name="P2"))
     out = tmp_path / "prod.json"
     assert main(["product", "--kind", "cartesian", a, b, "-o", str(out)]) == 0
     assert main(["invariant", "--which", "e", "--graph", str(out)]) == 0

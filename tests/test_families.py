@@ -11,7 +11,6 @@ from deltaconvex import (
     is_chordal,
     is_connected,
     is_two_connected,
-    triangles,
 )
 from deltaconvex.families import (
     FamilyError,
@@ -39,7 +38,7 @@ def test_standard_families():
     c3 = cycle(3)
     assert c3.predictions["c"].value == 2 and c3.predictions["e"].value == 2
     kb = complete_bipartite(2, 3)
-    assert len(kb.graph.edges) == 6 and not triangles(kb.graph)
+    assert len(kb.graph.edges) == 6 and not kb.graph.triangles
 
 
 def test_family_param_validation():
@@ -148,11 +147,11 @@ def test_two_connected_chordal_graphs_are_pinned():
 def test_gadget_c_structure():
     g3 = gadget_c(3)
     assert g3.graph.n == 5
-    assert triangles(g3.graph) == ((0, 1, 3), (2, 3, 4))
+    assert g3.graph.triangles == ((0, 1, 3), (2, 3, 4))
     for n in range(3, 8):
         inst = gadget_c(n)
         assert inst.graph.n == 2 * n - 1
-        assert len(triangles(inst.graph)) == n - 1
+        assert len(inst.graph.triangles) == n - 1
         assert inst.predictions["c"].value == n
         assert inst.predictions["e"].value == n
 
@@ -177,12 +176,12 @@ def test_gadget_c_hull_identities():
 def test_gadget_e_structure():
     g1 = gadget_e(1)
     assert g1.graph.n == 4
-    assert triangles(g1.graph) == ((0, 1, 2),)
+    assert g1.graph.triangles == ((0, 1, 2),)
     assert g1.graph.has_edge(0, 3)  # pendant on the first chain vertex
     for k in range(1, 6):
         inst = gadget_e(k)
         assert inst.graph.n == 2 * k + 2
-        assert len(triangles(inst.graph)) == k
+        assert len(inst.graph.triangles) == k
         assert inst.predictions["e"].value == k + 2
         assert inst.graph.degree(2 * k + 1) == 1
 

@@ -11,15 +11,12 @@ from deltaconvex import (
     GraphError,
     block_decomposition,
     diameter,
-    distance_matrix,
-    graph_from_edges,
     graph_from_json,
     graph_to_json,
     is_block_graph,
     is_chordal,
     is_connected,
     is_two_connected,
-    triangles,
 )
 from deltaconvex import graphs
 from deltaconvex.families import block_chain, complete, cycle, gadget_c, path, two_connected_chordal
@@ -36,35 +33,35 @@ from deltaconvex.graphs import (
 from deltaconvex.products import product
 from conftest import random_graph_raw
 
-K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-K4 = graph_from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+K4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
 
-def test_graph_from_edges_basic():
+def test_graph_constructor_basic():
     assert K3.n == 3 and len(K3.edges) == 3
-    single = graph_from_edges(1, [])
+    single = Graph(1, [])
     assert single.n == 1 and single.edges == ()
     assert P4.edges == ((0, 1), (1, 2), (2, 3))
 
 
-def test_graph_from_edges_dedupes():
-    g = graph_from_edges(3, [(0, 1), (1, 0), (0, 1)])
+def test_graph_constructor_dedupes():
+    g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edges == ((0, 1),)
 
 
 def test_graph_construction_errors():
     with pytest.raises(GraphError, match=r"\(1, 1\)"):
-        graph_from_edges(3, [(1, 1)])
+        Graph(3, [(1, 1)])
     with pytest.raises(GraphError, match=r"\(0, 5\)"):
-        graph_from_edges(3, [(0, 5)])
+        Graph(3, [(0, 5)])
 
 
 def test_triangles_small():
-    assert triangles(K3) == ((0, 1, 2),)
-    assert triangles(P4) == ()
+    assert K3.triangles == ((0, 1, 2),)
+    assert P4.triangles == ()
     # frozen from the C(4,3) enumeration oracle
-    assert triangles(K4) == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    assert K4.triangles == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 def test_triangle_count_matches_common_neighbor_formula():
@@ -135,7 +132,7 @@ def test_triangle_classes_match_naive_search():
 
 def test_edges_on_no_triangle_have_no_class_entry():
     # a triangle, a bridge from it, and a 4-cycle hanging off the bridge
-    g = graph_from_edges(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
     links, masks, members = g.triangle_classes
     assert sorted(links[2]) == [(0, 0), (1, 0)]
     assert links[3] == links[4] == links[5] == links[6] == ()
@@ -143,7 +140,7 @@ def test_edges_on_no_triangle_have_no_class_entry():
     for h in (P4, cycle(6).graph, Graph(0, []), Graph(3, [])):
         assert h.triangle_classes == (((),) * h.n, (), ())
     # two triangles that share only a vertex stay two classes
-    bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert bowtie.triangle_classes[1] == (0b00111, 0b11100)
 
 
@@ -189,11 +186,11 @@ def test_triangle_components_match_naive_search_on_all_small_graphs():
 
 
 def test_triangle_components_of_named_graphs():
-    bowtie = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     # one component, though its triangles share no edge: two edge classes
     assert bowtie.triangle_components == ((0b11111, 2),)
     assert [m for m in bowtie.triangle_classes[1] if m] == [0b00111, 0b11100]
-    two = graph_from_edges(7, [(0, 4), (4, 6), (0, 6), (1, 2), (2, 3), (1, 3), (3, 5)])
+    two = Graph(7, [(0, 4), (4, 6), (0, 6), (1, 2), (2, 3), (1, 3), (3, 5)])
     assert two.triangle_components == ((0b1010001, 1), (0b0001110, 1))
     assert K4.triangle_components == ((0b1111, 4),)
     for g in (P4, cycle(6).graph, Graph(0, []), Graph(3, [])):
@@ -214,35 +211,35 @@ def test_set_from_mask_matches_iter_bits():
         assert set_from_mask(m) == frozenset(iter_bits(m))
 
 
-def test_distance_matrix_examples():
+def test_distances_examples():
     p3 = path(3).graph
-    assert distance_matrix(p3)[0][2] == 2
+    assert p3.distances[0][2] == 2
     k5 = complete(5).graph
     assert all(
         d == (0 if i == j else 1)
-        for i, row in enumerate(distance_matrix(k5))
+        for i, row in enumerate(k5.distances)
         for j, d in enumerate(row)
     )
-    two_edges = graph_from_edges(4, [(0, 1), (2, 3)])
-    assert distance_matrix(two_edges)[0][2] == math.inf
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    assert two_edges.distances[0][2] == math.inf
 
 
-def test_distance_matrix_against_floyd_warshall():
+def test_distances_against_floyd_warshall():
     rng = random.Random(6)
     for _ in range(20):
         g = random_graph_raw(rng, rng.randint(1, 8), rng.choice([0.2, 0.4]))
         expect = oracles.distances(g.n, g.edges)
-        got = distance_matrix(g)
+        got = g.distances
         for i in range(g.n):
             for j in range(g.n):
                 assert got[i][j] == expect[i][j]
 
 
-def test_distance_matrix_invariants():
+def test_distances_invariants():
     rng = random.Random(7)
     for _ in range(10):
         g = random_graph_raw(rng, rng.randint(2, 8), 0.4)
-        d = distance_matrix(g)
+        d = g.distances
         for i in range(g.n):
             assert d[i][i] == 0
             for j in range(g.n):
@@ -253,8 +250,8 @@ def test_diameter():
     assert diameter(P4) == 3
     assert diameter(K3) == 1
     assert diameter(cycle(6).graph) == 3
-    assert diameter(graph_from_edges(3, [(0, 1)])) == math.inf
-    assert diameter(graph_from_edges(1, [])) == 0
+    assert diameter(Graph(3, [(0, 1)])) == math.inf
+    assert diameter(Graph(1, [])) == 0
 
 
 def test_connectivity():
@@ -262,16 +259,16 @@ def test_connectivity():
     assert is_two_connected(cycle(4).graph)
     p3 = path(3).graph
     assert is_connected(p3) and not is_two_connected(p3)
-    isolated = graph_from_edges(4, [(1, 2), (2, 3), (1, 3)])
+    isolated = Graph(4, [(1, 2), (2, 3), (1, 3)])
     assert not is_connected(isolated)
     # fewer than 3 vertices: only K2 counts as 2-connected
-    assert is_two_connected(graph_from_edges(2, [(0, 1)]))
-    assert not is_two_connected(graph_from_edges(2, []))
-    assert not is_two_connected(graph_from_edges(1, []))
+    assert is_two_connected(Graph(2, [(0, 1)]))
+    assert not is_two_connected(Graph(2, []))
+    assert not is_two_connected(Graph(1, []))
 
 
 def test_block_decomposition_two_triangles():
-    g = graph_from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     d = block_decomposition(g)
     assert len(d.blocks) == 2
     assert d.cut_vertices == frozenset({0})
@@ -320,7 +317,7 @@ def test_block_decomposition_invariants():
 
 def test_block_decomposition_requires_connected():
     with pytest.raises(GraphError):
-        block_decomposition(graph_from_edges(4, [(0, 1), (2, 3)]))
+        block_decomposition(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_is_block_graph():
@@ -332,7 +329,7 @@ def test_is_block_graph():
 def test_is_chordal_examples():
     assert not is_chordal(cycle(4).graph)
     assert is_chordal(P4)
-    k4_minus = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    k4_minus = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert is_chordal(k4_minus)
 
 

@@ -9,7 +9,6 @@ from deltaconvex import (
     delta_hull,
     delta_hull_traced,
     delta_interval,
-    graph_from_edges,
     is_delta_convex,
     is_hull_set,
 )
@@ -17,8 +16,8 @@ from deltaconvex.families import complete, cycle, gadget_c, path, two_connected_
 from deltaconvex.hull import hull_mask
 from conftest import random_graph_raw, random_subset
 
-K3 = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-P4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 K4 = complete(4).graph
 
 
@@ -131,8 +130,6 @@ def test_trace_round_invariants():
 
 def test_trace_witness_is_least_pair():
     # both (0,1) and (2,3) complete a triangle with 4; witness must be (0,1)
-    g = graph_from_edges(
-        5, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)]
-    )
+    g = Graph(5, [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)])
     trace = delta_hull_traced(g, {0, 1, 2, 3})
     assert trace.added_by == {4: (0, 1)}

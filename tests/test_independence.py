@@ -10,12 +10,12 @@ import pytest
 import oracles
 from deltaconvex import independence
 from deltaconvex import (
+    Graph,
     GraphError,
     cara_property_iii_violations,
     caratheodory_number,
     delta_hull,
     exchange_number,
-    graph_from_edges,
     helly_number,
     is_c_independent,
     is_e_independent,
@@ -137,11 +137,11 @@ def test_exchange_number_observations():
 
 
 def test_exchange_number_single_vertex():
-    assert exchange_number(graph_from_edges(1, [])).value == 1
+    assert exchange_number(Graph(1, [])).value == 1
 
 
 def test_helly_number_small():
-    assert helly_number(graph_from_edges(1, [])).value == 1
+    assert helly_number(Graph(1, [])).value == 1
     # triangle-free graphs have only trivial hulls, so every set is
     # Helly independent and the number equals n (frozen from the oracle)
     assert helly_number(P3).value == 3
@@ -240,6 +240,26 @@ def test_search_space_counts_the_sets_the_search_may_meet():
     # the capped exchange search of gc3 box P4 (B = 3) stops at size 4
     g = product(gadget_c(3).graph, path(4).graph, "cartesian").graph
     assert independence.search_space(g, independence.EXCHANGE) == 20 + 190 + 1140 + 4845
+
+
+def test_searches_to_n_do_not_read_the_component_bound(monkeypatch):
+    # The proven cap is at most the pool size, so a search to size n is
+    # exhaustive without B; only a cap below the pool needs it.
+    calls = []
+    bound = independence.component_bound
+    monkeypatch.setattr(independence, "component_bound", lambda g: calls.append(g) or bound(g))
+    g = product(gadget_c(3).graph, path(2).graph, "cartesian").graph
+    small = gadget_c(3).graph
+    for kind, search, naive in (
+        (independence.CARATHEODORY, caratheodory_number, naive_caratheodory_number),
+        (independence.EXCHANGE, exchange_number, naive_exchange_number),
+        (independence.HELLY, helly_number, naive_helly_number),
+    ):
+        assert search(g, max_size=g.n).exhaustive
+        independence.search_space(g, kind, g.n)
+        assert naive(small).exhaustive
+    assert calls == []
+    assert caratheodory_number(g).exhaustive and calls == [g]
 
 
 def test_helly_early_stop_is_exhaustive():

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from deltaconvex import (
+    Graph,
     GraphError,
     cartesian_c_witness,
     cartesian_e_witness,
     caratheodory_number,
     exchange_number,
     g_layer,
-    graph_from_edges,
     h_layer,
     has_edge_vertex_property,
     is_c_independent,
@@ -17,7 +17,6 @@ from deltaconvex import (
     product,
     project_g,
     project_h,
-    triangles,
 )
 from deltaconvex.families import complete, cycle, gadget_c, path
 from deltaconvex.graphs import MAX_EDGES, MAX_VERTICES
@@ -36,7 +35,7 @@ def _edge_set(g):
 def test_product_examples():
     square = product(P2, P2, "cartesian").graph
     assert _edge_set(square) == _edge_set(cycle(4).graph) or len(square.edges) == 4
-    assert len(square.edges) == 4 and len(triangles(square)) == 0
+    assert len(square.edges) == 4 and len(square.triangles) == 0
     k4s = product(P2, P2, "strong").graph
     assert len(k4s.edges) == 6
     k4l = product(P2, P2, "lex").graph
@@ -47,7 +46,7 @@ def test_product_kinds_and_errors():
     with pytest.raises(GraphError):
         product(P2, P2, "tensor")
     with pytest.raises(GraphError):
-        product(graph_from_edges(0, []), P2, "cartesian")
+        product(Graph(0, []), P2, "cartesian")
     p = product(P3, P2, "lex")
     assert p.kind == "lexicographic"
 
@@ -60,7 +59,7 @@ def test_product_over_vertex_limit_is_refused():
         with pytest.raises(GraphError, match=f"vertex count {g.n * h.n} is over the limit"):
             product(g, h, kind)
     # exactly at the limit is allowed (edge-free factors keep it cheap)
-    edgeless = graph_from_edges(128, [])
+    edgeless = Graph(128, [])
     assert product(edgeless, edgeless, "cartesian").graph.n == MAX_VERTICES
 
 
@@ -100,7 +99,7 @@ def test_triangle_free_cartesian_products_stay_triangle_free():
     cases = [(P4, P3), (cycle(4).graph, P2), (cycle(5).graph, cycle(4).graph)]
     for g, h in cases:
         pg = product(g, h, "cartesian").graph
-        assert triangles(pg) == ()
+        assert pg.triangles == ()
         assert exchange_number(pg).value == 2
 
 
@@ -171,7 +170,7 @@ def test_edge_vertex_property():
     ok, _ = has_edge_vertex_property(P3)
     assert not ok
     # disconnected graphs: infinite distance counts as >= 2
-    g = graph_from_edges(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     ok, witness = has_edge_vertex_property(g)
     assert ok and witness == (0, 1, 2)
 
