@@ -36,7 +36,6 @@ from .independence import (
     naive_caratheodory_number,
     naive_exchange_number,
     naive_helly_number,
-    sierksma_check,
 )
 from .families import (
     FamilyError,

@@ -3,7 +3,7 @@
 Vertices are integers 0..n-1. Adjacency lives in one neighbor bitmask per
 vertex, and vertex subsets travel as Python ints (bit i = vertex i) through
 the performance-sensitive code paths; public functions accept any iterable
-of vertex indices and return frozensets.
+of vertex indices, check it with ``Graph.mask``, and return frozensets.
 
 Graphs are immutable after construction, so they are safe to share across
 parallel workers. Derived data that every hull and every search consults
@@ -107,9 +107,19 @@ class Graph:
         """False when either end is not a vertex."""
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj[u] >> v & 1)
 
+    def mask(self, vertices: Iterable[int]) -> int:
+        """The bitmask of ``vertices``: the one check that a vertex set from
+        outside lies in 0..n-1."""
+        n = self.n
+        m = 0
+        for v in vertices:
+            if not 0 <= v < n:
+                raise GraphError(f"vertex {v} out of range 0..{n - 1}")
+            m |= 1 << v
+        return m
+
     def _vertex(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} out of range 0..{self.n - 1}")
+        self.mask((v,))
         return v
 
     def neighbors(self, v: int) -> frozenset[int]:

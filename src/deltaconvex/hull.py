@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, GraphError, iter_bits, lowest_bit, set_from_mask
+from .graphs import Graph, iter_bits, lowest_bit, set_from_mask
 
 
 @dataclass(frozen=True, eq=True)
@@ -60,15 +60,6 @@ class HullTrace:
     @property
     def result(self) -> frozenset[int]:
         return self.rounds[-1]
-
-
-def _subset_mask(g: Graph, s: Iterable[int]) -> int:
-    mask = 0
-    for v in s:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range 0..{g.n - 1}")
-        mask |= 1 << v
-    return mask
 
 
 def interval_mask(g: Graph, mask: int) -> int:
@@ -149,11 +140,11 @@ def extend_hull(g: Graph, closed_mask: int, v: int) -> int:
 
 def delta_interval(g: Graph, s: Iterable[int]) -> frozenset[int]:
     """S plus every vertex forming a triangle with two members of S."""
-    return set_from_mask(interval_mask(g, _subset_mask(g, s)))
+    return set_from_mask(interval_mask(g, g.mask(s)))
 
 
 def delta_hull(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    return set_from_mask(hull_mask(g, _subset_mask(g, s)))
+    return set_from_mask(hull_mask(g, g.mask(s)))
 
 
 def _least_witness_pair(g: Graph, mask: int, w: int) -> tuple[int, int]:
@@ -168,7 +159,7 @@ def _least_witness_pair(g: Graph, mask: int, w: int) -> tuple[int, int]:
 
 def delta_hull_traced(g: Graph, s: Iterable[int]) -> HullTrace:
     """Round-based closure with per-vertex witnesses; deterministic."""
-    cur = _subset_mask(g, s)
+    cur = g.mask(s)
     rounds = [set_from_mask(cur)]
     added_by: dict[int, tuple[int, int]] = {}
     while True:
@@ -182,10 +173,10 @@ def delta_hull_traced(g: Graph, s: Iterable[int]) -> HullTrace:
 
 
 def is_delta_convex(g: Graph, s: Iterable[int]) -> bool:
-    mask = _subset_mask(g, s)
+    mask = g.mask(s)
     return interval_mask(g, mask) == mask
 
 
 def is_hull_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff the hull of ``s`` is the whole vertex set."""
-    return hull_mask(g, _subset_mask(g, s)) == g.full_mask
+    return hull_mask(g, g.mask(s)) == g.full_mask

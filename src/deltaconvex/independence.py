@@ -108,7 +108,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, GraphError, iter_bits, lowest_bit, set_from_mask, vertex_mask
+from .graphs import Graph, GraphError, iter_bits, lowest_bit, set_from_mask
 from .hull import extend_hull, hull_mask
 
 CARATHEODORY = "c"
@@ -133,7 +133,6 @@ class IndependenceVerdict:
     (emptiness of the intersection is the certificate) or when dependent.
     """
 
-    kind: str
     independent: bool
     witness: int | tuple[int, int] | None = None
 
@@ -143,9 +142,10 @@ class InvariantResult:
     """Invariant value with its certifying set.
 
     ``search_bound_used`` is the largest set size the search considered,
-    the cap of ``_plan`` (for Helly, one above the value once a size has
-    none). ``exhaustive`` is False when that cap fell below the proven
-    cap, in which case ``value`` is only a lower bound.
+    the cap of ``_plan``, and ``exhaustive`` is False when that cap fell
+    below the proven cap, in which case ``value`` is only a lower bound.
+    The Helly stop: Helly independence is hereditary, so a Helly value
+    below the cap is exact, with ``search_bound_used`` = value + 1.
     """
 
     value: int
@@ -154,13 +154,12 @@ class InvariantResult:
     search_bound_used: int
 
 
-def _members(g: Graph, s: Iterable[int]) -> list[int]:
+def _members(g: Graph, s: Iterable[int]) -> tuple[list[int], int]:
+    """The members of a nonempty vertex set S, ascending, and its mask."""
     members = sorted(set(s))
     if not members:
         raise GraphError("independence is undefined for the empty set")
-    if members[0] < 0 or members[-1] >= g.n:
-        raise GraphError(f"vertex set {members} not within 0..{g.n - 1}")
-    return members
+    return members, g.mask(members)
 
 
 def _c_kernel(hull_s: int, subhulls: Iterable[int]) -> int | None:
@@ -221,27 +220,25 @@ def _grown(g: Graph, hull_s: int, subs: list[int], x: int) -> Iterator[int]:
 
 def is_c_independent(g: Graph, s: Iterable[int]) -> IndependenceVerdict:
     """Independent iff some hull element escapes every leave-one-out hull."""
-    members = _members(g, s)
-    smask = vertex_mask(members)
+    members, smask = _members(g, s)
     p = _c_kernel(hull_mask(g, smask), _loo_hulls(g, smask, members))
-    return IndependenceVerdict(CARATHEODORY, p is not None, p)
+    return IndependenceVerdict(p is not None, p)
 
 
 def is_e_independent(g: Graph, s: Iterable[int]) -> IndependenceVerdict:
     """Independent iff |S| = 1 or some pivot p admits an element of the
     hull of S minus p escaping every other leave-one-out hull."""
-    members = _members(g, s)
+    members, smask = _members(g, s)
     if len(members) == 1:
-        return IndependenceVerdict(EXCHANGE, True, None)
-    w = _e_kernel(_loo_hulls(g, vertex_mask(members), members))
+        return IndependenceVerdict(True, None)
+    w = _e_kernel(_loo_hulls(g, smask, members))
     w = None if w is None else (members[w[0]], w[1])
-    return IndependenceVerdict(EXCHANGE, w is not None, w)
+    return IndependenceVerdict(w is not None, w)
 
 
 def is_h_independent(g: Graph, s: Iterable[int]) -> IndependenceVerdict:
-    members = _members(g, s)
-    ok = _h_kernel(_loo_hulls(g, vertex_mask(members), members))
-    return IndependenceVerdict(HELLY, ok, None)
+    members, smask = _members(g, s)
+    return IndependenceVerdict(_h_kernel(_loo_hulls(g, smask, members)), None)
 
 
 def _lex_search(
@@ -437,11 +434,14 @@ def search_space(g: Graph, kind: str, max_size: int | None = None) -> int:
 def _planned_search(g: Graph, kind: str, lo: int, max_size: int | None) -> InvariantResult:
     """The largest set ``_lex_search`` finds over the plan of ``kind`` from
     size ``lo``; as every set below ``lo`` is independent, the first of
-    size min(lo - 1, cap) if it finds none."""
+    size min(lo - 1, cap) if it finds none. Applies the Helly stop
+    (``InvariantResult``)."""
     pool, cap, exhaustive = _plan(g, kind, max_size)
     found = _lex_search(g, kind, pool, lo, cap)
     size = max(found, default=min(lo - 1, cap))
     best = set_from_mask(found.get(size, (1 << size) - 1))
+    if kind == HELLY and size < cap:
+        exhaustive, cap = True, size + 1
     return InvariantResult(size, best, exhaustive, cap)
 
 
@@ -456,15 +456,9 @@ def exchange_number(g: Graph, max_size: int | None = None) -> InvariantResult:
 
 
 def helly_number(g: Graph, max_size: int | None = None) -> InvariantResult:
-    """Maximum size of a Helly-independent set.
-
-    Helly independence is hereditary, so the sizes with an independent set
-    run from 1 up, and the search is exhaustive once one size has none.
-    """
-    res = _planned_search(g, HELLY, 1, max_size)
-    if res.value < res.search_bound_used:
-        return InvariantResult(res.value, res.extremal_set, True, res.value + 1)
-    return res
+    """Maximum size of a Helly-independent set (pruned search, with the
+    Helly stop of ``InvariantResult``)."""
+    return _planned_search(g, HELLY, 1, max_size)
 
 
 def _naive_search(g: Graph, kind: str, max_size: int | None) -> InvariantResult:
@@ -495,16 +489,6 @@ def naive_helly_number(g: Graph, max_size: int | None = None) -> InvariantResult
     return _naive_search(g, HELLY, max_size)
 
 
-def sierksma_check(g: Graph) -> tuple[bool, tuple[int, int, int]]:
-    """Check e - 1 <= c <= max(h, e - 1) on exhaustively computed values,
-    from c and e searched up to size n."""
-    c = caratheodory_number(g, max_size=g.n)
-    e = exchange_number(g, max_size=g.n)
-    h = helly_number(g)
-    holds = e.value - 1 <= c.value <= max(h.value, e.value - 1)
-    return holds, (c.value, e.value, h.value)
-
-
 def cara_property_iii_violations(
     g: Graph, s: Iterable[int]
 ) -> tuple[tuple[int, int], ...]:
@@ -513,11 +497,10 @@ def cara_property_iii_violations(
     Diagnostic only: the corresponding property of Caratheodory-independent
     sets is not used for pruning, so violations are reported, never fatal.
     """
-    members = _members(g, s)
-    smask = vertex_mask(members)
+    members, smask = _members(g, s)
     out = []
     for u, v in combinations(members, 2):
-        rest = hull_mask(g, smask & ~(1 << u) & ~(1 << v))
-        if rest & hull_mask(g, vertex_mask((u, v))):
+        pair = 1 << u | 1 << v
+        if hull_mask(g, smask & ~pair) & hull_mask(g, pair):
             out.append((u, v))
     return tuple(out)

@@ -2,10 +2,11 @@
 
 Product vertices are pairs (g, h) encoded as g * |V(H)| + h, so witness
 sets remain auditable against the factor coordinates; ``encode``/``decode``
-expose the mapping. Layer and projection helpers plus the edge-vertex
-distance predicate live here too, together with the two proof-witness
-constructors for Cartesian lower bounds, which check their factor sets
-with ``is_c_independent`` and ``is_e_independent``.
+expose the mapping and refuse what is not a pair or a product vertex.
+Layer and projection helpers plus the edge-vertex distance predicate live
+here too, together with the two proof-witness constructors for Cartesian
+lower bounds, which check their factor sets with ``is_c_independent`` and
+``is_e_independent``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,18 @@ class ProductGraph:
     kind: str
 
     def encode(self, gv: int, hv: int) -> int:
+        """The product vertex (gv, hv); raises unless gv is a vertex of G
+        and hv one of H."""
+        if not (0 <= gv < self.g.n and 0 <= hv < self.h.n):
+            raise GraphError(
+                f"pair ({gv}, {hv}) out of range 0..{self.g.n - 1} x 0..{self.h.n - 1}"
+            )
         return gv * self.h.n + hv
 
     def decode(self, v: int) -> tuple[int, int]:
+        """The pair (g, h) of product vertex ``v``; raises unless it is one."""
+        if not 0 <= v < self.graph.n:
+            raise GraphError(f"product vertex {v} out of range 0..{self.graph.n - 1}")
         return divmod(v, self.h.n)
 
 
@@ -76,30 +86,20 @@ def product(g: Graph, h: Graph, kind: str) -> ProductGraph:
 
 def g_layer(p: ProductGraph, h_anchor: int) -> frozenset[int]:
     """Vertices (g, h_anchor) for all g; induces a copy of the left factor."""
-    if not 0 <= h_anchor < p.h.n:
-        raise GraphError(f"layer anchor {h_anchor} out of range 0..{p.h.n - 1}")
     return frozenset(p.encode(gv, h_anchor) for gv in range(p.g.n))
 
 
 def h_layer(p: ProductGraph, g_anchor: int) -> frozenset[int]:
     """Vertices (g_anchor, h) for all h; induces a copy of the right factor."""
-    if not 0 <= g_anchor < p.g.n:
-        raise GraphError(f"layer anchor {g_anchor} out of range 0..{p.g.n - 1}")
     return frozenset(p.encode(g_anchor, hv) for hv in range(p.h.n))
 
 
-def _decoded(p: ProductGraph, v: int) -> tuple[int, int]:
-    if not 0 <= v < p.graph.n:
-        raise GraphError(f"product vertex {v} out of range 0..{p.graph.n - 1}")
-    return p.decode(v)
-
-
 def project_g(p: ProductGraph, vertices: Iterable[int]) -> frozenset[int]:
-    return frozenset(_decoded(p, v)[0] for v in vertices)
+    return frozenset(p.decode(v)[0] for v in vertices)
 
 
 def project_h(p: ProductGraph, vertices: Iterable[int]) -> frozenset[int]:
-    return frozenset(_decoded(p, v)[1] for v in vertices)
+    return frozenset(p.decode(v)[1] for v in vertices)
 
 
 def has_edge_vertex_property(

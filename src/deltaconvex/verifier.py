@@ -643,7 +643,3 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 def write_report(report: SuiteReport, stream: IO[str]) -> None:
     for line in report.lines():
         stream.write(line + "\n")
-
-
-def covered_theorem_ids(checks: Iterable[TheoremCheck]) -> frozenset[str]:
-    return frozenset(c.theorem_id for c in checks)

@@ -23,7 +23,7 @@ from deltaconvex import (
     naive_caratheodory_number,
     naive_exchange_number,
     naive_helly_number,
-    sierksma_check,
+    verify_graph_universal,
 )
 from deltaconvex.families import (
     block_chain,
@@ -35,6 +35,7 @@ from deltaconvex.families import (
     path,
 )
 from deltaconvex.products import product
+from deltaconvex.verifier import SuiteConfig
 from conftest import random_graph_raw
 
 K3 = complete(3).graph
@@ -45,6 +46,8 @@ def test_empty_set_rejected():
     for fn in (is_c_independent, is_e_independent, is_h_independent):
         with pytest.raises(GraphError):
             fn(K3, ())
+    with pytest.raises(GraphError, match=f"vertex {K3.n} out of range 0..2"):
+        is_c_independent(K3, {0, K3.n})
 
 
 def test_c_independent_examples():
@@ -333,13 +336,18 @@ def test_extremal_set_is_first_in_enumeration_order():
     assert res.extremal_set == {0, 1}
 
 
+def _sierksma_row(inst):
+    """The ``sierksma`` row of the verifier's universal rows on ``inst``."""
+    rows = verify_graph_universal(inst, SuiteConfig(budget=inst.graph.n))
+    return next(row for row in rows if row.theorem_id == "sierksma")
+
+
 def test_sierksma_check():
-    ok, (c, e, h) = sierksma_check(complete(4).graph)
-    assert ok and (c, e, h) == (2, 2, 2)
-    ok, (c, e, h) = sierksma_check(path(5).graph)
-    assert ok and (c, e, h) == (1, 2, 5)
-    ok, (c, e, h) = sierksma_check(gadget_c(4).graph)
-    assert ok and c == 4 and e == 4
+    for inst, observed in ((complete(4), "c=2, e=2, h=2"), (path(5), "c=1, e=2, h=5")):
+        row = _sierksma_row(inst)
+        assert row.status == "pass" and row.observed == observed
+    row = _sierksma_row(gadget_c(4))
+    assert row.status == "pass" and row.observed.startswith("c=4, e=4, h=")
 
 
 def test_prop_e_dependent_conditions():

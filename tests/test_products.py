@@ -153,6 +153,16 @@ def test_projections_refuse_non_vertices():
             with pytest.raises(GraphError, match=f"product vertex {v} out of range 0..3"):
                 project(p, [0, v])
     assert project_g(p, [3]) == {1} and project_h(p, [3]) == {1}
+    # encode checks each coordinate, not just the code: 0 * 2 + 3 = 3 is
+    # the code of vertex (1, 1), yet (0, 3) is no pair of P2 x P2
+    for gv, hv in ((0, 7), (0, 3), (5, 0), (-1, 0), (0, -1)):
+        with pytest.raises(GraphError, match=rf"pair \({gv}, {hv}\) out of range 0..1 x 0..1"):
+            p.encode(gv, hv)
+    with pytest.raises(GraphError, match="product vertex -1 out of range 0..3"):
+        p.decode(-1)
+    for layer in (g_layer, h_layer):
+        with pytest.raises(GraphError):
+            layer(p, 5)
 
 
 def test_encode_decode_round_trip():
@@ -160,6 +170,13 @@ def test_encode_decode_round_trip():
     for gv in range(4):
         for hv in range(3):
             assert p.decode(p.encode(gv, hv)) == (gv, hv)
+    assert [p.encode(*p.decode(v)) for v in range(p.graph.n)] == list(range(p.graph.n))
+    for gv, hv in ((4, 0), (0, 3), (0, 7)):
+        with pytest.raises(GraphError):
+            p.encode(gv, hv)
+    for v in (-1, 12):
+        with pytest.raises(GraphError):
+            p.decode(v)
 
 
 def test_edge_vertex_property():

@@ -21,7 +21,6 @@ from deltaconvex.families import (
 from deltaconvex.verifier import (
     SuiteConfig,
     build_corpus,
-    covered_theorem_ids,
     run_suite,
     verify_family,
     verify_graph_universal,
@@ -206,7 +205,7 @@ def test_run_suite_covers_every_theorem_id():
         "cart_e_lb", "cart_c_lb", "cart_pn_e_eq", "cart_pn_c_eq",
         "strong_e3_strict", "strong_e3_weak", "strong_lex_c2", "lex_e",
     }
-    assert expected <= covered_theorem_ids(report.checks)
+    assert expected <= {c.theorem_id for c in report.checks}
 
 
 def test_run_suite_deterministic_across_jobs():
@@ -368,7 +367,7 @@ def test_run_suite_rejects_unknown_suite():
 
 def test_suite_subsets():
     report = run_suite(SuiteConfig(suites=("blocks",)))
-    ids = covered_theorem_ids(report.checks)
+    ids = {c.theorem_id for c in report.checks}
     assert "block_c_i" in ids and "sierksma" not in ids
 
 
